@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -48,6 +49,11 @@ OUTDIR_ENV = "SINGLET_LHV_OUTDIR"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-1e-05" as a value, like "-0.5"; argparse only knows plain decimals
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -65,12 +71,13 @@ def _angle_list(text, degrees):
 def _delta_grid(spec, degrees):
     """Grid spec 'start:stop:count' (inclusive) or comma-separated list."""
     if ":" in spec:
-        start, stop, count = spec.split(":")
-        pts = np.linspace(
-            _angle(start, degrees), _angle(stop, degrees), int(count)
-        )
-        return [float(p) for p in pts]
-    return _angle_list(spec, degrees)
+        lo, hi, count = spec.split(":")
+        grid = np.linspace(_angle(lo, degrees), _angle(hi, degrees), max(int(count), 0)).tolist()
+    else:
+        grid = _angle_list(spec, degrees)
+    if not grid:
+        raise ValueError(f"--delta-grid {spec!r} has no points")
+    return grid
 
 
 def _resolve_out(path):
@@ -264,7 +271,7 @@ def _cmd_bell_check(args, header):
         _emit(args, header, rows=rows, columns=("d1", "d2", "lhs", "rhs", "violated"))
         return
     if args.d1 is None or args.d2 is None:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("bell-check needs both --d1 and --d2, or --grid")
     chk = bell_inequality_sides(_angle(args.d1, args.degrees), _angle(args.d2, args.degrees))
     payload = {"lhs": chk.lhs, "rhs": chk.rhs, "violated": chk.violated}
     if args.format == "csv":

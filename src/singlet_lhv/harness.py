@@ -1,9 +1,11 @@
 """Seeded, stream-parallel Monte Carlo experiment runner.
 
 Randomness comes from counter-based Philox generators: each stream owns
-an independent generator keyed by a hash of (seed, stream index), draws
-are made in fixed blocks, and per-stream tallies are exact integers
-merged in stream-index order.  Results therefore depend only on
+an independent generator keyed by a hash of (seed, stream index) and
+draws its whole share of the trials at once.  The outcome kernel and
+the tally then run over fixed chunks of CHUNK trials (its first SPOT
+outcomes are checked against the validated public transform); tallies
+are exact integers merged in stream-index order.  Results depend only on
 (seed, trials, stream partition), never on execution or merge timing,
 and are reproducible across platforms (uniform doubles use the 53-bit
 construction).
@@ -25,6 +27,7 @@ import numpy as np
 from .analytic import ChshSetting, correlation
 from .model import (
     MeasurementSetting,
+    _b_positive,
     b_frame_coordinate,
     circle_transform_n,
     response,
@@ -33,6 +36,12 @@ from .model import (
 )
 
 MAX_TALLY_WORKERS = 8
+# Trials per transform-and-tally step; a chunk boundary never changes a result.
+CHUNK = 1 << 15
+# Leading trials per stream checked against the public transform.
+SPOT = 256
+# Settings evaluated together on a chunk (they share cos omega).
+ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -54,9 +63,6 @@ class RunConfig:
             raise ValueError("streams must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-    def with_setting(self, setting: MeasurementSetting) -> "RunConfig":
-        return replace(self, setting=setting)
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,10 @@ class TrialTally:
     def product_sum(self) -> int:
         return self.n_pp + self.n_mm - self.n_pm - self.n_mp
 
+    def estimate(self) -> EstimateWithError:
+        """Mean of the outcome product s_a * s_b with its standard error."""
+        return EstimateWithError.for_product_mean(self.product_sum, self.n)
+
     @property
     def discordant(self) -> int:
         """Trials that failed to anti-correlate."""
@@ -147,24 +157,57 @@ class TrialTally:
 EMPTY_TALLY = TrialTally(0, 0, 0, 0, 0)
 
 
-def stream_tallies(config: RunConfig) -> list[TrialTally]:
-    """Per-stream outcome tallies, ordered by stream index."""
-    setting = config.setting
+def _spot_check(kernel_pos_b, public_s_b):
+    """The kernel's B outcomes must equal those of the validated public path."""
+    if not np.array_equal(kernel_pos_b, public_s_b > 0):
+        raise ArithmeticError("outcome kernel disagrees with the public frame transform")
+
+
+def _draw_checked(sub_seed, count, settings, n_index):
+    """A stream's orientations, once the kernel matched the public path on the first SPOT."""
+    omega = sample_orientations(stream_generator(sub_seed), count, n_index)
+    head = omega[:SPOT]
+    for ms in settings:
+        _spot_check(_b_positive(head, ms.delta, n_index), response(b_frame_coordinate(head, ms)))
+    return omega
+
+
+def _signed_sum(estimates, n) -> EstimateWithError:
+    """E1 + E2 + E3 - E4 over independent estimates, variances added."""
+    value = variance = 0.0
+    for sign, est in zip((1.0, 1.0, 1.0, -1.0), estimates):
+        value += sign * est.value
+        variance += est.std_error**2
+    return EstimateWithError(value=value, std_error=float(np.sqrt(variance)), n=n)
+
+
+def _tallies(config: RunConfig, settings) -> list[list[TrialTally]]:
+    """Per stream, one tally per setting: the settings share the stream's sample set."""
+    n_index = config.setting.n
+    column = np.array([[ms.delta] for ms in settings])
 
     def worker(sub_seed, count):
-        rng = stream_generator(sub_seed)
-        omega = sample_orientations(rng, count, setting.n)
-        s_a = response(omega)
-        s_b = response(b_frame_coordinate(omega, setting))
-        pos_a = s_a > 0
-        pos_b = s_b > 0
-        n_pp = int(np.count_nonzero(pos_a & pos_b))
-        n_pm = int(np.count_nonzero(pos_a & ~pos_b))
-        n_mp = int(np.count_nonzero(~pos_a & pos_b))
-        n_mm = count - n_pp - n_pm - n_mp
-        return TrialTally(n=count, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=n_mm)
+        omega = _draw_checked(sub_seed, count, settings, n_index)
+        n_a, (n_pp, n_b) = 0, np.zeros((2, len(settings)), dtype=np.int64)
+        for lo in range(0, count, CHUNK):
+            o = omega[lo:lo + CHUNK]
+            pos_a = o >= 0.0
+            n_a += int(np.count_nonzero(pos_a))
+            for i in range(0, len(settings), ROWS):
+                pos_b = _b_positive(o, column[i:i + ROWS], n_index)
+                n_pp[i:i + ROWS] += np.count_nonzero(pos_a & pos_b, axis=1)
+                n_b[i:i + ROWS] += np.count_nonzero(pos_b, axis=1)
+        return [
+            TrialTally(count, pp, n_a - pp, b - pp, count - n_a - b + pp)
+            for pp, b in zip(n_pp.tolist(), n_b.tolist())
+        ]
 
     return _map_streams(worker, partition_streams(config.seed, config.streams, config.trials))
+
+
+def stream_tallies(config: RunConfig) -> list[TrialTally]:
+    """Per-stream outcome tallies, ordered by stream index."""
+    return [tally for (tally,) in _tallies(config, [config.setting])]
 
 
 def tally_outcomes(config: RunConfig) -> TrialTally:
@@ -174,8 +217,7 @@ def tally_outcomes(config: RunConfig) -> TrialTally:
 
 def estimate_correlation(config: RunConfig) -> EstimateWithError:
     """Monte Carlo mean of the outcome product s_a * s_b."""
-    tally = tally_outcomes(config)
-    return EstimateWithError.for_product_mean(tally.product_sum, tally.n)
+    return tally_outcomes(config).estimate()
 
 
 @dataclass(frozen=True)
@@ -191,23 +233,18 @@ def scan_correlation(delta_grid: Sequence[float], config: RunConfig) -> list[Sca
     """One correlation estimate per effective parameter value.
 
     Each grid point runs with phi = 0 and delta_omega = delta under the
-    same (seed, streams) configuration.  The analytic column is the
-    n = 1 closed form -cos(delta); for n > 1 it is a reference curve
-    only (no closed form exists for the estimate's expectation).
+    same (seed, streams) configuration, so every point sees the same
+    sample set; each stream draws it once and tallies it at all points.
+    The analytic column is the n = 1 closed form -cos(delta); for n > 1
+    it is a reference curve only (no closed form exists for the
+    estimate's expectation).
     """
+    settings = [MeasurementSetting.from_delta(delta, n=config.setting.n) for delta in delta_grid]
     rows = []
-    for delta in delta_grid:
-        setting = MeasurementSetting.from_delta(delta, n=config.setting.n)
-        est = estimate_correlation(config.with_setting(setting))
-        rows.append(
-            ScanRow(
-                delta=float(wrap_angle(delta)),
-                estimate=est.value,
-                std_error=est.std_error,
-                analytic=float(correlation(delta)),
-                n=est.n,
-            )
-        )
+    for delta, per_stream in zip(delta_grid, zip(*_tallies(config, settings))):
+        est = sum(per_stream, EMPTY_TALLY).estimate()
+        analytic = float(correlation(delta))
+        rows.append(ScanRow(float(wrap_angle(delta)), est.value, est.std_error, analytic, est.n))
     return rows
 
 
@@ -234,27 +271,24 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
     n_index = config.setting.n
 
     if config.gauge_fixed:
-        deltas = [wrap_angle(r - phi) for r in orientations]
+        settings = [MeasurementSetting(delta_omega=r - phi, phi=0.0, n=n_index) for r in orientations]
+        column = np.array([[ms.delta] for ms in settings])
 
         def worker(sub_seed, count):
-            rng = stream_generator(sub_seed)
-            omega = sample_orientations(rng, count, n_index)
-            s_a = response(omega)
-            terms = []
-            for d in deltas:
-                ms = MeasurementSetting(delta_omega=d, phi=0.0, n=n_index)
-                terms.append(response(b_frame_coordinate(omega, ms)))
-            x = s_a * (terms[0] + terms[1] + terms[2] - terms[3])
-            values, counts = np.unique(x, return_counts=True)
-            return {int(v): int(c) for v, c in zip(values, counts)}
+            omega = _draw_checked(sub_seed, count, settings, n_index)
+            hist = np.zeros(9, dtype=np.int64)
+            for lo in range(0, count, CHUNK):
+                o = omega[lo:lo + CHUNK]
+                b = _b_positive(o, column, n_index).view(np.int8)
+                # s_a * (s1 + s2 + s3 - s4) with s = 2 [B = +1] - 1
+                x = 2 * (b[0] + b[1] + b[2] - b[3]) - 2
+                x = np.where(o >= 0.0, x, -x)
+                hist += np.bincount(x + 4, minlength=9)
+            return hist
 
-        partials = _map_streams(
-            worker, partition_streams(config.seed, config.streams, config.trials)
-        )
-        counts: dict[int, int] = {}
-        for partial in partials:
-            for v, c in partial.items():
-                counts[v] = counts.get(v, 0) + c
+        assignments = partition_streams(config.seed, config.streams, config.trials)
+        hist = sum(_map_streams(worker, assignments))
+        counts = {v - 4: int(c) for v, c in enumerate(hist) if c}
         n = sum(counts.values())
         total = sum(v * c for v, c in counts.items())
         total_sq = sum(v * v * c for v, c in counts.items())
@@ -262,22 +296,16 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
         var = max(0.0, total_sq / n - mean * mean)
         est = EstimateWithError(value=mean, std_error=float(np.sqrt(var / n)), n=n)
         outside = sum(c for v, c in counts.items() if abs(v) > 2)
+        c = [correlation(ms.delta) for ms in settings]
         return ChshEstimate(
             estimate=est,
-            analytic=float(
-                correlation(deltas[0])
-                + correlation(deltas[1])
-                + correlation(deltas[2])
-                - correlation(deltas[3])
-            ),
+            analytic=float(c[0] + c[1] + c[2] - c[3]),
             out_of_range_fraction=outside / n,
-            per_trial_counts=dict(sorted(counts.items())),
+            per_trial_counts=counts,
         )
 
-    signs = (1.0, 1.0, 1.0, -1.0)
-    value = 0.0
-    variance = 0.0
-    for k, (sign, rel) in enumerate(zip(signs, orientations)):
+    estimates = []
+    for k, rel in enumerate(orientations):
         # fresh trials per orientation: derive a distinct sub-seed so the
         # four correlations use disjoint sample sets
         digest = hashlib.sha256(f"{int(config.seed)}/orientation:{k}".encode("ascii")).digest()
@@ -286,16 +314,12 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
             seed=int.from_bytes(digest[:8], "little"),
             setting=MeasurementSetting(delta_omega=rel, phi=phi, n=n_index),
         )
-        est = estimate_correlation(sub)
-        value += sign * est.value
-        variance += est.std_error**2
+        estimates.append(estimate_correlation(sub))
+    signs = (1.0, 1.0, 1.0, -1.0)
     return ChshEstimate(
-        estimate=EstimateWithError(value=value, std_error=float(np.sqrt(variance)), n=config.trials),
+        estimate=_signed_sum(estimates, config.trials),
         analytic=float(
-            sum(
-                sign * correlation(wrap_angle(rel - phi))
-                for sign, rel in zip(signs, orientations)
-            )
+            sum(sign * correlation(wrap_angle(rel - phi)) for sign, rel in zip(signs, orientations))
         ),
         out_of_range_fraction=None,
         per_trial_counts=None,
@@ -319,11 +343,7 @@ class WZResult:
     records: tuple[WZTrialRecord, ...]
 
     def pair_correlations(self):
-        return {
-            pair: EstimateWithError.for_product_mean(t.product_sum, t.n)
-            for pair, t in self.pair_tallies.items()
-            if t.n > 0
-        }
+        return {pair: t.estimate() for pair, t in self.pair_tallies.items() if t.n > 0}
 
 
 def run_weihs_zeilinger(
@@ -350,82 +370,53 @@ def run_weihs_zeilinger(
     betas = sorted(float(wrap_angle(b)) for b in set(beta_choices))
     if not alphas or not betas:
         raise ValueError("modulator choice sets must be non-empty")
-    phi = wrap_angle(base_phi)
-    d_omega = config.setting.delta_omega
     n_index = config.setting.n
-    alpha_arr = np.array(alphas)
-    beta_arr = np.array(betas)
+    # effective parameter per (alpha, beta) pair, pair index i * len(betas) + j
+    offset = config.setting.delta_omega - wrap_angle(base_phi)
+    pair_delta = wrap_angle(np.add.outer(offset + np.array(alphas), betas)).ravel()
 
     def worker(sub_seed, count):
         rng = stream_generator(sub_seed)
         ai = rng.integers(0, len(alphas), size=count)
         bi = rng.integers(0, len(betas), size=count)
         omega = sample_orientations(rng, count, n_index)
-        delta = wrap_angle(d_omega - phi + alpha_arr[ai] + beta_arr[bi])
-        s_a = response(omega)
-        omega_b = wrap_angle(-circle_transform_n(omega, delta, n_index))
-        s_b = response(omega_b)
-        tallies = {}
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                mask = (ai == i) & (bi == j)
-                cnt = int(np.count_nonzero(mask))
-                pos_a = s_a[mask] > 0
-                pos_b = s_b[mask] > 0
-                n_pp = int(np.count_nonzero(pos_a & pos_b))
-                n_pm = int(np.count_nonzero(pos_a & ~pos_b))
-                n_mp = int(np.count_nonzero(~pos_a & pos_b))
-                tallies[(a, b)] = TrialTally(
-                    n=cnt, n_pp=n_pp, n_pm=n_pm, n_mp=n_mp, n_mm=cnt - n_pp - n_pm - n_mp
-                )
+        pair = ai * len(betas) + bi
+        head = slice(0, max(SPOT, keep_records))
+        o, d = omega[head], pair_delta[pair[head]]
+        s_b = response(wrap_angle(-circle_transform_n(o, d, n_index)))
+        _spot_check(_b_positive(o, d, n_index), s_b)
+        hist = np.zeros(4 * pair_delta.size, dtype=np.int64)
+        for lo in range(0, count, CHUNK):
+            o, p = omega[lo:lo + CHUNK], pair[lo:lo + CHUNK]
+            pos_a, pos_b = o >= 0.0, _b_positive(o, pair_delta[p], n_index)
+            hist += np.bincount(4 * p + 2 * pos_a + pos_b, minlength=hist.size)
         records = tuple(
-            WZTrialRecord(
-                alpha=float(alpha_arr[ai[k]]),
-                beta=float(beta_arr[bi[k]]),
-                s_a=int(s_a[k]),
-                s_b=int(s_b[k]),
-                omega_a=float(omega[k]),
-            )
+            WZTrialRecord(alphas[ai[k]], betas[bi[k]], response(float(omega[k])), int(s_b[k]),
+                          float(omega[k]))
             for k in range(min(keep_records, count))
         )
-        return tallies, records
+        return hist, records
 
-    partials = _map_streams(
-        worker, partition_streams(config.seed, config.streams, config.trials)
-    )
-    pair_tallies = {(a, b): EMPTY_TALLY for a in alphas for b in betas}
-    records: list[WZTrialRecord] = []
-    for tallies, recs in partials:
-        for pair, tally in tallies.items():
-            pair_tallies[pair] = pair_tallies[pair] + tally
-        records.extend(recs)
+    partials = _map_streams(worker, partition_streams(config.seed, config.streams, config.trials))
+    # per pair: counts of (s_a, s_b) = (-, -), (-, +), (+, -), (+, +)
+    counts = sum(hist for hist, _ in partials).reshape(-1, 4)
+    pairs = [(a, b) for a in alphas for b in betas]
+    pair_tallies = {
+        pair: TrialTally(int(c.sum()), int(c[3]), int(c[2]), int(c[1]), int(c[0]))
+        for pair, c in zip(pairs, counts)
+    }
+    records = [r for _, recs in partials for r in recs]
 
-    chsh_pairs = tuple(
-        (a, b) for a in alphas[:2] for b in betas[:2]
-    )
-    value = 0.0
-    variance = 0.0
-    if len(alphas) >= 2 and len(betas) >= 2:
-        signs = {
-            (alphas[0], betas[0]): 1.0,
-            (alphas[0], betas[1]): 1.0,
-            (alphas[1], betas[0]): 1.0,
-            (alphas[1], betas[1]): -1.0,
-        }
-        for pair, sign in signs.items():
-            t = pair_tallies[pair]
-            if t.n == 0:
-                raise ValueError(f"no trials observed for modulator pair {pair}")
-            est = EstimateWithError.for_product_mean(t.product_sum, t.n)
-            value += sign * est.value
-            variance += est.std_error**2
-    else:
-        t = pair_tallies[(alphas[0], betas[0])]
-        est = EstimateWithError.for_product_mean(t.product_sum, t.n)
-        value, variance = est.value, est.std_error**2
+    chsh_pairs = tuple((a, b) for a in alphas[:2] for b in betas[:2])
+    # E(a,b) + E(a,b') + E(a',b) - E(a',b'), or E(a,b) alone without a 2x2 sub-grid
+    used = chsh_pairs if len(chsh_pairs) == 4 else chsh_pairs[:1]
+    empty = [pair for pair in used if pair_tallies[pair].n == 0]
+    if len(used) == 4 and empty:
+        raise ValueError(f"no trials observed for modulator pair {empty[0]}")
+    estimates = [pair_tallies[pair].estimate() for pair in used]
     return WZResult(
         pair_tallies=pair_tallies,
         chsh_pairs=chsh_pairs,
-        chsh=EstimateWithError(value=value, std_error=float(np.sqrt(variance)), n=config.trials),
+        chsh=_signed_sum(estimates, config.trials),
         records=tuple(records),
     )

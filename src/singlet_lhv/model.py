@@ -42,6 +42,12 @@ class AcosDomainError(ArithmeticError):
     """An arccos argument strayed outside [-1, 1] beyond rounding error."""
 
 
+def _density_index(n):
+    if int(n) != n or n < 1:
+        raise ValueError(f"density index must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def _as_float_array(x, name="angle"):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -61,13 +67,24 @@ def wrap_angle(x):
     Values already in range pass through bit-exactly (the mod form
     would absorb magnitudes below one ulp of pi).
     """
-    arr = _as_float_array(x)
-    out = np.where(
-        (arr >= -np.pi) & (arr < np.pi),
-        arr,
-        np.mod(arr + np.pi, TWO_PI) - np.pi,
-    )
-    return _maybe_scalar(out, x)
+    if isinstance(x, float) and math.isfinite(x):  # the same values without array set-up
+        return float(x) if -np.pi <= x < np.pi else float(np.mod(x + np.pi, TWO_PI) - np.pi)
+    return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
+
+
+def _wrap(x):
+    """wrap_angle of a finite float array, in place; np.mod only on out-of-range elements."""
+    x = np.asarray(x)
+    flat = x.reshape(-1)
+    out = np.flatnonzero((flat < -np.pi) | (flat >= np.pi))
+    if out.size:
+        flat[out] = np.mod(flat[out] + np.pi, TWO_PI) - np.pi
+    return flat.reshape(x.shape)
+
+
+def _unpi(x):
+    """wrap_angle of an already wrapped angle: only +pi moves, to -pi."""
+    return np.where(x == np.pi, -np.pi, x) if np.any(x == np.pi) else x
 
 
 def circle_distance(a, b):
@@ -81,18 +98,63 @@ def branch_sign(omega, delta):
     sign(0) is fixed to +1; at the only point where the choice could
     matter the arccos factor vanishes, so it is observationally inert.
     """
-    rel = wrap_angle(np.asarray(omega, dtype=float) - np.asarray(delta, dtype=float))
-    out = np.where(np.asarray(rel) >= 0.0, 1.0, -1.0)
-    return _maybe_scalar(out, omega, delta)
+    return _maybe_scalar(np.where(linear_reference(omega, delta) >= 0.0, 1.0, -1.0), omega, delta)
 
 
 def _acos_checked(u):
-    bad = np.max(np.abs(u)) - 1.0 if np.size(u) else 0.0
+    bad = max(np.max(u), -np.min(u)) - 1.0 if np.size(u) else 0.0
     if bad > ACOS_CLAMP_TOL:
         raise AcosDomainError(
             f"arccos argument excursion {bad:.3e} beyond [-1, 1]; branch selection is broken"
         )
     return np.arccos(np.clip(u, -1.0, 1.0))
+
+
+# Signs of (cos delta, cos omega, 1) in the arccos argument, one column per
+# branch.  Branch k of omega counts the cuts at or below it, {delta - pi, 0,
+# delta} for delta >= 0; for delta < 0, {delta, 0, delta + pi} and k -> 3 - k.
+_BRANCH_SIGNS = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)])
+
+
+def _branch_arg(o, d):
+    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform."""
+    neg = d < 0.0
+    k = (o >= np.where(neg, d, d - np.pi)).astype(np.intp)
+    k += o >= 0.0
+    k += o >= np.where(neg, d + np.pi, d)
+    k ^= 3 * neg
+    s_d, s_o, s_1 = (np.take(col, k) for col in _BRANCH_SIGNS)
+    return (s_d * np.cos(d) + s_o * np.cos(o)) + s_1
+
+
+def _transform(o, d):
+    """circle_transform of wrapped arrays, unchecked: the arccos, signed by branch_sign."""
+    rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
+    return _unpi(np.where(rel >= 0.0, a, -a))
+
+
+def _transform_n(o, d, n):
+    """circle_transform_n of finite arrays for n > 1, unchecked."""
+    no, nd = n * o, n * d
+    linear_n = _wrap(no - nd)
+    inner = _transform(_unpi(_wrap(no)), _unpi(_wrap(nd)))
+    return _wrap(_wrap(o - d) + _wrap(inner - linear_n) / n)
+
+
+def _b_positive(omega, delta, n=1):
+    """Outcome kernel: True where B = +1, bit for bit response(b_frame_coordinate) > 0.
+
+    Unchecked: omega is a wrapped finite array; delta a wrapped scalar, per-trial
+    array or column of settings (one row of outcomes each); n a positive int.
+    B is +1 where the transform T lies in (-pi, 0]; for n = 1, T = +-arccos(u)
+    lies there exactly when arccos(u) == 0, or T < 0 and arccos(u) < pi.
+    """
+    if n == 1:
+        o, d = _unpi(omega), _unpi(np.asarray(delta, dtype=float))
+        rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
+        return (a == 0.0) | ((rel < 0.0) & (a < np.pi))
+    t = _transform_n(omega, np.asarray(delta, dtype=float), n)
+    return (t > -np.pi) & (t <= 0.0)
 
 
 def circle_transform(omega, delta):
@@ -103,36 +165,8 @@ def circle_transform(omega, delta):
     on the circle, strictly increasing, and satisfies
     |d cos(out)| = |d cos(omega)| on every branch.
     """
-    o = wrap_angle(omega)
-    d = wrap_angle(delta)
-    o_arr, d_arr = np.broadcast_arrays(np.asarray(o), np.asarray(d))
-    cos_o = np.cos(o_arr)
-    cos_d = np.cos(d_arr)
-
-    pos = d_arr >= 0.0
-    masks = [
-        pos & (o_arr < d_arr - np.pi),
-        pos & (o_arr >= d_arr - np.pi) & (o_arr < 0.0),
-        pos & (o_arr >= 0.0) & (o_arr < d_arr),
-        pos & (o_arr >= d_arr),
-        ~pos & (o_arr < d_arr),
-        ~pos & (o_arr >= d_arr) & (o_arr < 0.0),
-        ~pos & (o_arr >= 0.0) & (o_arr < d_arr + np.pi),
-        ~pos & (o_arr >= d_arr + np.pi),
-    ]
-    choices = [
-        -cos_d - cos_o - 1.0,
-        cos_d + cos_o - 1.0,
-        cos_d - cos_o + 1.0,
-        -cos_d + cos_o + 1.0,
-        -cos_d + cos_o + 1.0,
-        cos_d - cos_o + 1.0,
-        cos_d + cos_o - 1.0,
-        -cos_d - cos_o - 1.0,
-    ]
-    u = np.select(masks, choices)
-    out = wrap_angle(branch_sign(o_arr, d_arr) * _acos_checked(u))
-    return _maybe_scalar(out, omega, delta)
+    o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
+    return _maybe_scalar(_transform(o, d), omega, delta)
 
 
 def circle_transform_n(omega, delta, n=1):
@@ -148,17 +182,10 @@ def circle_transform_n(omega, delta, n=1):
     T(n omega; n delta) modulo 2 pi, and approaches the linear map
     uniformly with deviation bounded by sup|T - linear| / n.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"density index must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _density_index(n)
     if n == 1:
         return circle_transform(omega, delta)
-    o = _as_float_array(omega)
-    d = _as_float_array(delta)
-    lin = wrap_angle(o - d)
-    inner = circle_transform(wrap_angle(n * o), wrap_angle(n * d))
-    deviation = wrap_angle(inner - wrap_angle(n * o - n * d))
-    out = wrap_angle(lin + deviation / n)
+    out = _transform_n(_as_float_array(omega), _as_float_array(delta), n)
     return _maybe_scalar(out, omega, delta)
 
 
@@ -202,22 +229,22 @@ def sample_orientations(rng, size, n=1):
     Draw order per call is fixed (u block, sign block, cell block) so a
     seeded generator reproduces the same samples.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"density index must be a positive integer, got {n!r}")
-    n = int(n)
-    r = rng.random(size)
+    n = _density_index(n)
+    omega = rng.random(size)
     while True:
-        zero = r == 0.0
+        zero = omega == 0.0
         if not zero.any():
             break
-        r[zero] = rng.random(int(zero.sum()))
-    u = 2.0 * r - 1.0
-    sign = 2.0 * rng.integers(0, 2, size=size) - 1.0
-    omega = sign * np.arccos(u)
-    if n == 1:
-        return wrap_angle(omega)
-    k = rng.integers(0, 2 * n, size=size)
-    return wrap_angle(omega / n + k * (np.pi / n))
+        omega[zero] = rng.random(int(zero.sum()))
+    # in place, value for value: sign * arccos(2 r - 1)
+    omega *= 2.0
+    omega -= 1.0
+    np.arccos(omega, out=omega)
+    np.negative(omega, out=omega, where=rng.integers(0, 2, size=size) == 0)
+    if n > 1:
+        omega /= n
+        omega += rng.integers(0, 2 * n, size=size) * (np.pi / n)
+    return _wrap(omega)
 
 
 def sample_hidden(rng, n=1) -> "HiddenConfig":
@@ -245,9 +272,7 @@ class MeasurementSetting:
     def __post_init__(self):
         object.__setattr__(self, "delta_omega", wrap_angle(self.delta_omega))
         object.__setattr__(self, "phi", wrap_angle(self.phi))
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"density index must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _density_index(self.n))
 
     @property
     def delta(self) -> float:

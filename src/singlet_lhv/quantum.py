@@ -155,6 +155,8 @@ def weak_value(pre_state, post: PostSelection, op: np.ndarray, subsystem="A") ->
     (subsystem ignored).  Raises PostSelectionOverlapError when the
     post-selected bra is orthogonal to the prepared state.
     """
+    if subsystem not in ("A", "B"):
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     psi = np.asarray(pre_state, dtype=complex)
     op = np.asarray(op, dtype=complex)
     if op.shape == (2, 2):

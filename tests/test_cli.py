@@ -276,3 +276,39 @@ def test_numerical_contract_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(cli._DISPATCH, "bell-check", broken)
     code = main(["bell-check", "--d1", "0", "--d2", "1"])
     assert code == EXIT_NUMERICAL
+
+
+# ------------------------------------------------------ usage errors
+
+
+def test_bell_check_reads_exponent_form_negative_value(capsys):
+    # a usage line alone would mean argparse took "-1e-05" for an option
+    code = main(["bell-check", "--d1", "-1e-05", "--d2", "0.5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "-1e-05" in err and not err.startswith("usage:")
+    code, out = run_cli(capsys, "bell-check", "--d1", "-0e-05", "--d2", "5E-1", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["effective_config"]["d1"] == 0.0
+
+
+def test_weak_values_reads_exponent_form_negative_value(capsys):
+    code, out = run_cli(
+        capsys, "weak-values", "--phi", "-1e-05", "--delta-omega", "1.5707963", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["effective_config"]["phi"] == -1e-05
+
+
+def test_bell_check_without_settings_says_why(capsys):
+    code = main(["bell-check"])
+    assert code == EXIT_USAGE
+    assert "--d1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0:1:0", "0:1:-3", ","])
+def test_correlate_empty_grid_is_usage_error(capsys, spec):
+    code = main(["correlate", "--delta-grid", spec, "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "--delta-grid" in captured.err and captured.out == ""

@@ -1,0 +1,188 @@
+"""The chunked outcome kernel against the public transform and an arc oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from singlet_lhv import harness
+from singlet_lhv.analytic import OPTIMAL_CHSH_SETTING
+from singlet_lhv.harness import (
+    RunConfig,
+    estimate_chsh,
+    partition_streams,
+    run_weihs_zeilinger,
+    stream_generator,
+    stream_tallies,
+)
+from singlet_lhv.model import (
+    MeasurementSetting,
+    _b_positive,
+    b_frame_coordinate,
+    circle_transform_n,
+    response,
+    sample_orientations,
+    wrap_angle,
+)
+
+deltas = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
+# wrap_angle itself returns +pi just below -pi, so the kernel takes it too
+wrapped_deltas = st.one_of(deltas, st.just(math.pi))
+density_index = st.sampled_from([1, 2, 7])
+
+
+def public_b_positive(omega, delta, n):
+    """B = +1 through the validated public path, one trial at a time."""
+    return np.array([
+        response(b_frame_coordinate(o, MeasurementSetting.from_delta(d, n=n))) > 0
+        for o, d in zip(omega, np.broadcast_to(delta, np.shape(omega)))
+    ])
+
+
+def cut_points(delta, n=1):
+    """{delta - pi, 0, delta, -pi}, the cell edges k pi / n, and their float neighbours, wrapped."""
+    cuts = np.array([delta - math.pi, 0.0, -0.0, delta, -math.pi, delta + math.pi])
+    cuts = np.concatenate([cuts, np.arange(-n, n + 1) * math.pi / n])
+    near = [cuts, np.nextafter(cuts, math.inf), np.nextafter(cuts, -math.inf)]
+    return np.asarray(wrap_angle(np.concatenate(near)))
+
+
+@given(
+    delta=deltas,
+    n=density_index,
+    others=st.lists(deltas, min_size=1, max_size=8),
+)
+def test_kernel_matches_public_path_scalar_delta(delta, n, others):
+    omega = np.concatenate([cut_points(delta, n), others])
+    np.testing.assert_array_equal(_b_positive(omega, delta, n), public_b_positive(omega, delta, n))
+
+
+@given(
+    centre=deltas,
+    n=density_index,
+    pairs=st.lists(st.tuples(deltas, wrapped_deltas), min_size=1, max_size=8),
+)
+def test_kernel_matches_public_path_per_trial_delta(centre, n, pairs):
+    cuts = cut_points(centre, n)
+    omega = np.concatenate([cuts, [o for o, _ in pairs]])
+    delta = np.concatenate([np.full(cuts.size, centre), [d for _, d in pairs]])
+    np.testing.assert_array_equal(_b_positive(omega, delta, n), public_b_positive(omega, delta, n))
+
+
+def test_kernel_matches_public_path_on_samples():
+    omega = sample_orientations(np.random.Generator(np.random.Philox(key=4)), 20_000)
+    for n in (1, 2, 7):
+        for delta in np.linspace(-math.pi, math.pi, 17)[:-1]:
+            setting = MeasurementSetting.from_delta(delta, n=n)
+            expected = response(b_frame_coordinate(omega, setting)) > 0
+            np.testing.assert_array_equal(_b_positive(omega, setting.delta, n), expected)
+
+
+def test_kernel_takes_a_column_of_settings():
+    omega = sample_orientations(np.random.Generator(np.random.Philox(key=5)), 5_000, 7)
+    column = np.array([[-2.0], [0.0], [0.5], [math.pi]])
+    expected = np.stack([_b_positive(omega, d, 7) for d in column[:, 0]])
+    np.testing.assert_array_equal(_b_positive(omega, column, 7), expected)
+
+
+def on_arc(omega, delta):
+    """Arc membership: omega in [delta - pi, delta) on the circle."""
+    if delta >= 0.0:
+        return (omega >= delta - math.pi) & (omega < delta)
+    return (omega < delta) | (omega >= delta + math.pi)
+
+
+def off_cuts(omega, delta, tol=1e-6):
+    gap = lambda c: np.abs(wrap_angle(omega - c))  # noqa: E731
+    return (gap(delta) > tol) & (gap(delta - math.pi) > tol)
+
+
+@given(delta=deltas, omega=st.lists(deltas, min_size=1, max_size=40))
+def test_b_is_plus_exactly_on_the_arc(delta, omega):
+    omega = np.array(omega)
+    keep = off_cuts(omega, delta)
+    np.testing.assert_array_equal(_b_positive(omega, delta)[keep], on_arc(omega, delta)[keep])
+
+
+def test_b_is_plus_exactly_on_the_arc_for_samples():
+    omega = sample_orientations(np.random.Generator(np.random.Philox(key=8)), 200_000)
+    for delta in np.linspace(-math.pi, math.pi, 33)[:-1]:
+        keep = off_cuts(omega, delta)
+        assert keep.mean() > 0.999
+        np.testing.assert_array_equal(_b_positive(omega, delta)[keep], on_arc(omega, delta)[keep])
+
+
+def run_all(n):
+    setting = MeasurementSetting(delta_omega=0.9, phi=0.2, n=n)
+    config = RunConfig(trials=70_001, seed=21, streams=2, setting=setting)
+    wz = run_weihs_zeilinger(0.2, [0.0, 1.3, -2.0], [0.4, -0.4], config, keep_records=5_000)
+    return (
+        stream_tallies(config),
+        estimate_chsh(OPTIMAL_CHSH_SETTING, config).per_trial_counts,
+        wz.pair_tallies,
+        wz.records,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_chunk_size_does_not_change_any_tally(monkeypatch, n):
+    reference = run_all(n)
+    for chunk in (1_000, 4_093, 1 << 20):
+        monkeypatch.setattr(harness, "CHUNK", chunk)
+        assert run_all(n) == reference
+
+
+def test_spot_check_stops_a_wrong_kernel(monkeypatch):
+    monkeypatch.setattr(harness, "_b_positive", lambda o, d, n=1: o < d)
+    config = RunConfig(trials=5_000, seed=2, setting=MeasurementSetting.from_delta(0.8, n=7))
+    with pytest.raises(ArithmeticError, match="kernel disagrees"):
+        stream_tallies(config)
+    with pytest.raises(ArithmeticError, match="kernel disagrees"):
+        estimate_chsh(OPTIMAL_CHSH_SETTING, config)
+    with pytest.raises(ArithmeticError, match="kernel disagrees"):
+        run_weihs_zeilinger(0.0, [0.0, 1.0], [0.5, -0.5], config)
+
+
+def reference_draws(config, n_pairs=None):
+    """Each stream's draws in the harness's order; the modulator indices come first for WZ."""
+    for sub_seed, count in partition_streams(config.seed, config.streams, config.trials):
+        rng = stream_generator(sub_seed)
+        index = None if n_pairs is None else [rng.integers(0, k, size=count) for k in n_pairs]
+        yield index, sample_orientations(rng, count, config.setting.n)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_tallies_match_the_public_path_on_the_same_draws(n):
+    setting = MeasurementSetting(delta_omega=2.2, phi=0.4, n=n)
+    config = RunConfig(trials=50_001, seed=31, streams=2, setting=setting)
+
+    for tally, (_, omega) in zip(stream_tallies(config), reference_draws(config)):
+        s_a, s_b = response(omega), response(b_frame_coordinate(omega, setting))
+        assert (tally.n_pp, tally.n_pm, tally.n_mp) == (
+            np.sum((s_a > 0) & (s_b > 0)), np.sum((s_a > 0) & (s_b < 0)), np.sum((s_a < 0) & (s_b > 0))
+        )
+
+    deltas = [wrap_angle(r - setting.phi) for r in OPTIMAL_CHSH_SETTING.relative_orientations()]
+    values = []
+    for _, omega in reference_draws(config):
+        s = [response(b_frame_coordinate(omega, MeasurementSetting.from_delta(d, n=n))) for d in deltas]
+        values.append(response(omega) * (s[0] + s[1] + s[2] - s[3]))
+    found, counts = np.unique(np.concatenate(values), return_counts=True)
+    expected = {int(v): int(c) for v, c in zip(found, counts)}
+    assert estimate_chsh(OPTIMAL_CHSH_SETTING, config).per_trial_counts == expected
+
+    alphas, betas = [-1.0, 0.3], [0.2, 1.1, 2.9]
+    wz = run_weihs_zeilinger(setting.phi, alphas, betas, config)
+    for (a, b), tally in wz.pair_tallies.items():
+        n_pp = n_pm = n_mp = 0
+        for (ai, bi), omega in reference_draws(config, (len(alphas), len(betas))):
+            mask = (ai == alphas.index(a)) & (bi == betas.index(b))
+            delta = wrap_angle(setting.delta_omega - setting.phi + a + b)
+            s_a = response(omega[mask])
+            s_b = response(wrap_angle(-circle_transform_n(omega[mask], delta, n)))
+            n_pp += np.sum((s_a > 0) & (s_b > 0))
+            n_pm += np.sum((s_a > 0) & (s_b < 0))
+            n_mp += np.sum((s_a < 0) & (s_b > 0))
+        assert (tally.n_pp, tally.n_pm, tally.n_mp) == (n_pp, n_pm, n_mp)

@@ -322,3 +322,10 @@ def test_load_operator_validates():
         load_operator({"dim": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError):
         load_operator({"dim": 2, "re": [[0, 1]], "im": [[0, 0], [0, 0]]})
+
+
+@pytest.mark.parametrize("subsystem", ["a", "C", None, ""])
+def test_weak_value_rejects_unknown_subsystem(subsystem):
+    post = PostSelection(0.3, 1, 1.2, -1)
+    with pytest.raises(ValueError, match="subsystem"):
+        weak_value(bell_state(0.4), post, polarization_operator(0.3, "in-plane"), subsystem)
