@@ -38,9 +38,13 @@ from .model import (
 MAX_TALLY_WORKERS = 8
 # Trials per transform-and-tally step; a chunk boundary never changes a result.
 CHUNK = 1 << 15
-# Leading trials per stream checked against the public transform.
+# Leading trials per stream checked against the public transform.  The
+# kernel's correctness rests on tests/test_kernel.py; this check stays only
+# while perfbench's traced frame metrics need these public calls (ROADMAP 6).
 SPOT = 256
-# Settings evaluated together on a chunk (they share cos omega).
+# Settings evaluated together on a chunk; they share cos omega.  On the
+# 25-point scan, 4 rows ran faster than 1, 2, 8 or all 25 (cache-sized
+# temporaries).
 ROWS = 4
 
 

@@ -67,9 +67,9 @@ def wrap_angle(x):
     Values already in range pass through bit-exactly (the mod form
     would absorb magnitudes below one ulp of pi).
     """
-    if isinstance(x, float) and math.isfinite(x):  # the same values without array set-up
-        return float(x) if -np.pi <= x < np.pi else float(np.mod(x + np.pi, TWO_PI) - np.pi)
-    return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
+    arr = _as_float_array(x)
+    out = np.where((arr >= -np.pi) & (arr < np.pi), arr, np.mod(arr + np.pi, TWO_PI) - np.pi)
+    return _maybe_scalar(out, x)
 
 
 def _wrap(x):
@@ -146,14 +146,10 @@ def _b_positive(omega, delta, n=1):
 
     Unchecked: omega is a wrapped finite array; delta a wrapped scalar, per-trial
     array or column of settings (one row of outcomes each); n a positive int.
-    B is +1 where the transform T lies in (-pi, 0]; for n = 1, T = +-arccos(u)
-    lies there exactly when arccos(u) == 0, or T < 0 and arccos(u) < pi.
+    B is +1 where the transform T lies in (-pi, 0].
     """
-    if n == 1:
-        o, d = _unpi(omega), _unpi(np.asarray(delta, dtype=float))
-        rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
-        return (a == 0.0) | ((rel < 0.0) & (a < np.pi))
-    t = _transform_n(omega, np.asarray(delta, dtype=float), n)
+    d = np.asarray(delta, dtype=float)
+    t = _transform(_unpi(omega), _unpi(d)) if n == 1 else _transform_n(omega, d, n)
     return (t > -np.pi) & (t <= 0.0)
 
 
