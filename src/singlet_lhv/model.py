@@ -149,7 +149,7 @@ def _b_positive(omega, delta, n=1):
     B is +1 where the transform T lies in (-pi, 0].
     """
     d = np.asarray(delta, dtype=float)
-    t = _transform(_unpi(omega), _unpi(d)) if n == 1 else _transform_n(omega, d, n)
+    t = _transform(omega, d) if n == 1 else _transform_n(omega, d, n)
     return (t > -np.pi) & (t <= 0.0)
 
 
