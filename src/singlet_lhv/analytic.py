@@ -144,17 +144,12 @@ def chsh_grid_max(points=21):
     Returns (max_value, argmax ChshSetting).
     """
     base = np.linspace(0.0, np.pi, points)
-    best = -1.0
-    best_setting = None
-    for d in base:
-        for dp in base:
-            for dpp in -base:
-                s = ChshSetting(d_omega=d, d_omega_p=dp, d_omega_pp=dpp)
-                v = chsh_value(s)
-                if v > best:
-                    best = v
-                    best_setting = s
-    return best, best_setting
+    # the loop over (d, d', d'') of chsh_value, elementwise; argmax keeps its first maximum
+    d, dp, dpp = np.meshgrid(wrap_angle(base), wrap_angle(base), wrap_angle(-base), indexing="ij")
+    partial = correlation(dp) + correlation(dpp) + correlation(wrap_angle(dp - d))
+    values = np.abs(partial - correlation(wrap_angle(dpp - d)))
+    i, j, k = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i, j, k]), ChshSetting(d_omega=base[i], d_omega_p=base[j], d_omega_pp=-base[k])
 
 
 def linear_law_curve(delta, grid_points):

@@ -51,8 +51,9 @@ OUTDIR_ENV = "SINGLET_LHV_OUTDIR"
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # read "-1e-05" as a value, like "-0.5"; argparse only knows plain decimals
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # read "-1e-05", "-2.5,1" and "-3:3:25" as values, like "-0.5"; argparse knows only the last
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}([,:]-?{number})*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

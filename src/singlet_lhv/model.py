@@ -65,10 +65,12 @@ def wrap_angle(x):
     """Wrap radians to the half-open interval [-pi, pi); wrap(pi) == -pi.
 
     Values already in range pass through bit-exactly (the mod form
-    would absorb magnitudes below one ulp of pi).
+    would absorb magnitudes below one ulp of pi).  Just below -pi the mod
+    form rounds to +pi, which is moved to -pi.
     """
     arr = _as_float_array(x)
     out = np.where((arr >= -np.pi) & (arr < np.pi), arr, np.mod(arr + np.pi, TWO_PI) - np.pi)
+    out[out == np.pi] = -np.pi
     return _maybe_scalar(out, x)
 
 

@@ -129,6 +129,20 @@ def test_chsh_grid_scan_attains_quantum_bound():
     )
 
 
+@pytest.mark.parametrize("points", [1, 2, 5, 9])
+def test_chsh_grid_max_equals_the_loop_over_settings(points):
+    # the reference loop: first strict maximum of chsh_value in (d, d', d'') order
+    base = np.linspace(0.0, np.pi, points)
+    best, best_setting = -1.0, None
+    for d in base:
+        for dp in base:
+            for dpp in -base:
+                s = ChshSetting(d_omega=d, d_omega_p=dp, d_omega_pp=dpp)
+                if chsh_value(s) > best:
+                    best, best_setting = chsh_value(s), s
+    assert chsh_grid_max(points) == (best, best_setting)
+
+
 def test_linear_law_curve_examples():
     omegas, linear = linear_law_curve(0.0, 64)
     np.testing.assert_allclose(linear, omegas, atol=1e-15)

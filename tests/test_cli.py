@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import singlet_lhv
 from singlet_lhv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -312,3 +316,35 @@ def test_correlate_empty_grid_is_usage_error(capsys, spec):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert "--delta-grid" in captured.err and captured.out == ""
+
+
+def test_correlate_reads_list_starting_with_negative(capsys):
+    # a usage line alone would mean argparse took "-2.5,1" for an option
+    code, out = run_cli(
+        capsys, "correlate", "--delta-grid", "-2.5,1", "--trials", "1000", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert [row[0] for row in json.loads(out)["rows"]] == [-2.5, 1.0]
+    code, out = run_cli(
+        capsys, "correlate", "--delta-grid", "-3:3:3", "--trials", "1000", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert [row[0] for row in json.loads(out)["rows"]] == [-3.0, 0.0, 3.0]
+
+
+def test_wz_reads_list_starting_with_negative(capsys):
+    code, out = run_cli(
+        capsys, "wz", "--alpha-set", "-0.5,1", "--beta-set", "0.2,-0.3", "--trials", "1000",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["effective_config"]["alpha_set"] == "-0.5,1"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the command line must start without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlet_lhv.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, singlet_lhv.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0

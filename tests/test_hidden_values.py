@@ -10,6 +10,7 @@ from singlet_lhv.analytic import joint_probabilities
 from singlet_lhv.harness import stream_generator
 from singlet_lhv.hidden_values import (
     MATCH_TOL,
+    OPERATOR_QUANTITIES,
     CoarseSubset,
     ZeroMeasureSubsetError,
     b_coarse_partition,
@@ -21,9 +22,15 @@ from singlet_lhv.hidden_values import (
     quantity_perp_phasor,
     quantity_reference,
     quantity_transverse,
+    subset_averages,
     verify_weak_value_match,
 )
-from singlet_lhv.model import sample_orientations, wrap_angle
+from singlet_lhv.model import (
+    MeasurementSetting,
+    b_frame_coordinate,
+    sample_orientations,
+    wrap_angle,
+)
 from singlet_lhv.quantum import bell_state, embed_a, polarization_operator
 
 
@@ -108,6 +115,18 @@ def test_b_side_intervals_have_matching_sign():
                 assert (1 if mid >= 0 else -1) == s.s_b
 
 
+@pytest.mark.parametrize("delta", [0.8, 2.9, -0.8, -2.9])
+def test_b_side_subsets_are_images_of_a_side_subsets(delta):
+    # the frame map carries each A subset onto the B subset of the same outcome pair
+    setting = MeasurementSetting.from_delta(delta)
+    b_side = {(s.s_a, s.s_b): s.intervals for s in b_coarse_partition(delta)}
+    for s in coarse_partition(delta):
+        ((lo, hi),) = s.intervals
+        omega_b = b_frame_coordinate(np.linspace(lo, hi, 41)[1:-1], setting)
+        ((b_lo, b_hi),) = b_side[(s.s_a, s.s_b)]
+        assert np.all((omega_b >= b_lo - 1e-12) & (omega_b <= b_hi + 1e-12)), (s.s_a, s.s_b)
+
+
 # ----------------------------------------------------- coarse_average
 
 
@@ -180,6 +199,34 @@ def test_global_phasor_average_matches_marginal():
         psi = bell_state(0.3)
         op = embed_a(polarization_operator(dw, "in-plane"))
         assert abs(np.vdot(psi, op @ psi)) < 1e-10
+
+
+# a spread of settings plus points within 0.05 rad of the degenerate {0, +-pi}
+CLOSED_FORM_DELTAS = [
+    d
+    for d in (
+        *np.linspace(-3.0, 3.0, 13),
+        *(c + s * e for c in (0.0, math.pi, -math.pi) for e in (0.01, 0.03, 0.049) for s in (1, -1)),
+    )
+    if -math.pi < d < math.pi and d != 0.0
+]
+
+
+@pytest.mark.parametrize("delta", CLOSED_FORM_DELTAS)
+def test_closed_form_averages_match_quadrature(delta):
+    # quad is the independent reference for the closed forms the report uses
+    for partition in (coarse_partition(delta), b_coarse_partition(delta)):
+        for s in partition:
+            averages = subset_averages(s)
+            for axis, (quantity, weighted) in OPERATOR_QUANTITIES.items():
+                want = coarse_average(quantity, s, weighted_integrand=weighted)
+                assert abs(averages[axis] - want) <= 1e-12, (s.s_a, s.s_b, axis)
+
+
+def test_closed_form_averages_reject_zero_measure():
+    empty = next(s for s in coarse_partition(0.0) if (s.s_a, s.s_b) == (1, 1))
+    with pytest.raises(ZeroMeasureSubsetError):
+        subset_averages(empty)
 
 
 # ------------------------------------------------------- match report

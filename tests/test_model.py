@@ -63,6 +63,16 @@ def test_wrap_is_translation_by_two_pi(x):
     assert wrap_angle(x + 2 * math.pi) == pytest.approx(wrap_angle(x), abs=1e-9)
 
 
+def test_wrap_just_below_minus_pi_stays_in_range():
+    # mod(x + pi, 2 pi) rounds up to 2 pi here, which would give +pi
+    below = np.nextafter(-math.pi, -math.inf)
+    assert wrap_angle(below) == -math.pi
+    got = wrap_angle(np.array([below, 0.5, -math.pi, math.pi]))
+    np.testing.assert_array_equal(got, [-math.pi, 0.5, -math.pi, -math.pi])
+    for n in (2, 3, 7):
+        assert wrap_angle(n * np.nextafter(-math.pi / n, -math.inf)) == -math.pi
+
+
 def test_wrap_huge_magnitudes_stay_in_range():
     for x in (1e12, -1e12, 1e300, -1e300):
         assert -math.pi <= wrap_angle(x) < math.pi
