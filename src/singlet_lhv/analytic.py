@@ -94,12 +94,12 @@ def bell_inequality_sides(d1, d2) -> BellCheck:
 def bell_violation_map(points=60):
     """Scan the ordered (d1, d2) triangle; rows (d1, d2, lhs, rhs, violated)."""
     grid = np.linspace(0.0, np.pi, points)
-    rows = []
-    for i, d1 in enumerate(grid):
-        for d2 in grid[i:]:
-            chk = bell_inequality_sides(d1, d2)
-            rows.append((float(d1), float(d2), chk.lhs, chk.rhs, chk.violated))
-    return rows
+    d1, d2 = (grid[k] for k in np.triu_indices(points))
+    # the arithmetic of bell_inequality_sides, over the whole triangle at once
+    lhs = np.abs(correlation(d1) - correlation(d2))
+    rhs = 1.0 + correlation(wrap_angle(d2 - d1))
+    violated = lhs > rhs + VIOLATION_TOL
+    return list(zip(d1.tolist(), d2.tolist(), lhs.tolist(), rhs.tolist(), violated.tolist()))
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def _emit(args, header, rows=None, columns=None, payload=None):
 def _add_common(p, trials_default=1_000_000, phi=True):
     p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=4)
+    p.add_argument("--streams", type=int, default=4, help="worker threads only")
     p.add_argument("--n", type=int, default=1, help="density index")
     if phi:
         p.add_argument("--phi", type=float, default=0.0, help="state phase")
@@ -200,7 +200,7 @@ def build_parser():
     p.add_argument("--d-omega", type=float, default=0.0)
     p.add_argument("--alpha-set", required=True, help="comma-separated angles")
     p.add_argument("--beta-set", required=True, help="comma-separated angles")
-    p.add_argument("--dump-records", type=int, default=0, help="records to include")
+    p.add_argument("--dump-records", type=int, default=0, help="first K trial records of the run")
     _add_common(p)
     _add_output(p)
 

@@ -1,25 +1,26 @@
-"""Seeded, stream-parallel Monte Carlo experiment runner.
+"""Seeded, block-keyed Monte Carlo experiment runner.
 
-Randomness comes from counter-based Philox generators: each stream owns
-an independent generator keyed by a hash of (seed, stream index) and
-draws its whole share of the trials at once.  The outcome kernel and
-the tally then run over fixed chunks of CHUNK trials (its first SPOT
-outcomes are checked against the validated public transform); tallies
-are exact integers merged in stream-index order.  Results depend only on
-(seed, trials, stream partition), never on execution or merge timing,
-and are reproducible across platforms (uniform doubles use the 53-bit
-construction).
+A run is identified by (seed, trials).  Its trials fall into fixed blocks
+of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
+from its own counter-based Philox generator keyed by sha256(seed:b)
+(``block_generator``, the only seeding rule).  Inside a block the
+outcome kernel and the tally run over chunks of CHUNK trials; tallies are
+exact integers.  Neither the chunk size nor the stream count changes a
+result, and memory stays O(BLOCK x streams) whatever the trial count.
+Uniform doubles use the 53-bit construction, so the uniform stream is the
+same on every platform.
 
-Streams are embarrassingly parallel; when more than one stream is
-requested the tally loop runs them on a small thread pool (numpy
-releases the GIL) and still reduces in index order.
+``streams`` only sets the number of worker threads (numpy releases the
+GIL): stream i takes the i-th contiguous range of block indices, and the
+partial tallies are added in stream order.  The first SPOT outcomes of
+block 0 are checked against the validated public transform.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +37,13 @@ from .model import (
 )
 
 MAX_TALLY_WORKERS = 8
+# Trials per seeded block (4 MB of doubles).  It splits the CLI's decimal
+# trial counts evenly over streams; 2^15-trial blocks ran 1.7x slower from
+# allocator churn, and 2^19 split 1e6 trials unevenly over two streams.
+BLOCK = 500_000
 # Trials per transform-and-tally step; a chunk boundary never changes a result.
 CHUNK = 1 << 15
-# Leading trials per stream checked against the public transform.  The
+# Leading trials of block 0 checked against the public transform.  The
 # kernel's correctness rests on tests/test_kernel.py; this check stays only
 # while perfbench's traced frame metrics need these public calls (ROADMAP 6).
 SPOT = 256
@@ -68,6 +73,11 @@ class RunConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
+    @property
+    def blocks(self) -> int:
+        """Number of trial blocks; the last may hold fewer than BLOCK."""
+        return -(-self.trials // BLOCK)
+
 
 @dataclass(frozen=True)
 class EstimateWithError:
@@ -83,38 +93,37 @@ class EstimateWithError:
         return cls(value=value, std_error=float(np.sqrt(max(0.0, 1.0 - value * value) / n)), n=n)
 
 
-def partition_streams(seed, streams, trials):
-    """Deterministic per-stream (sub_seed, sub_count) assignments.
-
-    Sub-seeds are 128-bit integers derived by hashing (seed, index);
-    counts split trials as evenly as possible, remainder to the lowest
-    indices.
-    """
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    base, extra = divmod(int(trials), int(streams))
-    out = []
-    for idx in range(streams):
-        digest = hashlib.sha256(f"{int(seed)}:{idx}".encode("ascii")).digest()
-        sub_seed = int.from_bytes(digest[:16], "little")
-        count = base + (1 if idx < extra else 0)
-        out.append((sub_seed, count))
-    return out
-
-
-def stream_generator(sub_seed) -> np.random.Generator:
-    """Philox generator keyed directly by a 128-bit sub-seed."""
-    return np.random.Generator(np.random.Philox(key=sub_seed))
+def block_generator(seed, block) -> np.random.Generator:
+    """Philox generator of trial block ``block``, keyed by sha256(seed:block)."""
+    digest = hashlib.sha256(f"{int(seed)}:{int(block)}".encode("ascii")).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
 def _map_streams(worker, assignments):
-    """Run worker(sub_seed, count) per stream; results in index order."""
-    jobs = [(s, c) for s, c in assignments if c > 0]
-    if len(jobs) <= 1:
-        return [worker(s, c) for s, c in jobs]
-    with ThreadPoolExecutor(max_workers=min(len(jobs), MAX_TALLY_WORKERS)) as pool:
-        futures = [pool.submit(worker, s, c) for s, c in jobs]
-        return [f.result() for f in futures]
+    """Run worker(*assignment) per stream; results in stream order."""
+    if len(assignments) <= 1:
+        return [worker(*a) for a in assignments]
+    with ThreadPoolExecutor(max_workers=min(len(assignments), MAX_TALLY_WORKERS)) as pool:
+        return list(pool.map(worker, *zip(*assignments)))
+
+
+def _map_blocks(config: RunConfig, tally_block, first=0):
+    """Per stream, the sum of tally_block(rng, block, count) over its range of blocks.
+
+    Block b draws from block_generator(seed, first + b); ``first`` gives
+    each of several runs under one seed its own block indices.
+    """
+    streams = min(config.streams, config.blocks)
+    edges = [config.blocks * i // streams for i in range(streams + 1)]
+
+    def worker(lo, hi):
+        return sum(
+            tally_block(block_generator(config.seed, first + b), b,
+                        min(BLOCK, config.trials - b * BLOCK))
+            for b in range(lo, hi)
+        )
+
+    return _map_streams(worker, list(zip(edges[:-1], edges[1:])))
 
 
 @dataclass(frozen=True)
@@ -167,12 +176,13 @@ def _spot_check(kernel_pos_b, public_s_b):
         raise ArithmeticError("outcome kernel disagrees with the public frame transform")
 
 
-def _draw_checked(sub_seed, count, settings, n_index):
-    """A stream's orientations, once the kernel matched the public path on the first SPOT."""
-    omega = sample_orientations(stream_generator(sub_seed), count, n_index)
-    head = omega[:SPOT]
-    for ms in settings:
-        _spot_check(_b_positive(head, ms.delta, n_index), response(b_frame_coordinate(head, ms)))
+def _draw_checked(rng, count, settings, n_index, block):
+    """A block's orientations; in block 0, once the kernel matched the public path on SPOT."""
+    omega = sample_orientations(rng, count, n_index)
+    if block == 0:
+        head = omega[:SPOT]
+        for ms in settings:
+            _spot_check(_b_positive(head, ms.delta, n_index), response(b_frame_coordinate(head, ms)))
     return omega
 
 
@@ -185,32 +195,34 @@ def _signed_sum(estimates, n) -> EstimateWithError:
     return EstimateWithError(value=value, std_error=float(np.sqrt(variance)), n=n)
 
 
-def _tallies(config: RunConfig, settings) -> list[list[TrialTally]]:
-    """Per stream, one tally per setting: the settings share the stream's sample set."""
+def _tallies(config: RunConfig, settings, first=0) -> list[list[TrialTally]]:
+    """Per stream, one tally per setting: the settings share the run's sample set."""
     n_index = config.setting.n
     column = np.array([[ms.delta] for ms in settings])
 
-    def worker(sub_seed, count):
-        omega = _draw_checked(sub_seed, count, settings, n_index)
-        n_a, (n_pp, n_b) = 0, np.zeros((2, len(settings)), dtype=np.int64)
+    def tally_block(rng, block, count):
+        omega = _draw_checked(rng, count, settings, n_index, block)
+        # rows: trials, A = +1, both +1, B = +1; one column per setting
+        out = np.zeros((4, len(settings)), dtype=np.int64)
+        out[0] = count
         for lo in range(0, count, CHUNK):
             o = omega[lo:lo + CHUNK]
             pos_a = o >= 0.0
-            n_a += int(np.count_nonzero(pos_a))
+            out[1] += np.count_nonzero(pos_a)
             for i in range(0, len(settings), ROWS):
                 pos_b = _b_positive(o, column[i:i + ROWS], n_index)
-                n_pp[i:i + ROWS] += np.count_nonzero(pos_a & pos_b, axis=1)
-                n_b[i:i + ROWS] += np.count_nonzero(pos_b, axis=1)
-        return [
-            TrialTally(count, pp, n_a - pp, b - pp, count - n_a - b + pp)
-            for pp, b in zip(n_pp.tolist(), n_b.tolist())
-        ]
+                out[2, i:i + ROWS] += np.count_nonzero(pos_a & pos_b, axis=1)
+                out[3, i:i + ROWS] += np.count_nonzero(pos_b, axis=1)
+        return out
 
-    return _map_streams(worker, partition_streams(config.seed, config.streams, config.trials))
+    return [
+        [TrialTally(n, pp, n_a - pp, b - pp, n - n_a - b + pp) for n, n_a, pp, b in part.T.tolist()]
+        for part in _map_blocks(config, tally_block, first)
+    ]
 
 
 def stream_tallies(config: RunConfig) -> list[TrialTally]:
-    """Per-stream outcome tallies, ordered by stream index."""
+    """Per-stream partial tallies in stream order; their sum depends on (seed, trials) only."""
     return [tally for (tally,) in _tallies(config, [config.setting])]
 
 
@@ -236,9 +248,9 @@ class ScanRow:
 def scan_correlation(delta_grid: Sequence[float], config: RunConfig) -> list[ScanRow]:
     """One correlation estimate per effective parameter value.
 
-    Each grid point runs with phi = 0 and delta_omega = delta under the
-    same (seed, streams) configuration, so every point sees the same
-    sample set; each stream draws it once and tallies it at all points.
+    Each grid point runs with phi = 0 and delta_omega = delta on the
+    run's one sample set: each block is drawn once and tallied at all
+    points.
     The analytic column is the n = 1 closed form -cos(delta); for n > 1
     it is a reference curve only (no closed form exists for the
     estimate's expectation).
@@ -278,8 +290,8 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
         settings = [MeasurementSetting(delta_omega=r - phi, phi=0.0, n=n_index) for r in orientations]
         column = np.array([[ms.delta] for ms in settings])
 
-        def worker(sub_seed, count):
-            omega = _draw_checked(sub_seed, count, settings, n_index)
+        def tally_block(rng, block, count):
+            omega = _draw_checked(rng, count, settings, n_index, block)
             hist = np.zeros(9, dtype=np.int64)
             for lo in range(0, count, CHUNK):
                 o = omega[lo:lo + CHUNK]
@@ -290,8 +302,7 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
                 hist += np.bincount(x + 4, minlength=9)
             return hist
 
-        assignments = partition_streams(config.seed, config.streams, config.trials)
-        hist = sum(_map_streams(worker, assignments))
+        hist = sum(_map_blocks(config, tally_block))
         counts = {v - 4: int(c) for v, c in enumerate(hist) if c}
         n = sum(counts.values())
         total = sum(v * c for v, c in counts.items())
@@ -310,15 +321,10 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
 
     estimates = []
     for k, rel in enumerate(orientations):
-        # fresh trials per orientation: derive a distinct sub-seed so the
-        # four correlations use disjoint sample sets
-        digest = hashlib.sha256(f"{int(config.seed)}/orientation:{k}".encode("ascii")).digest()
-        sub = replace(
-            config,
-            seed=int.from_bytes(digest[:8], "little"),
-            setting=MeasurementSetting(delta_omega=rel, phi=phi, n=n_index),
-        )
-        estimates.append(estimate_correlation(sub))
+        # fresh trials per orientation: its own range of block indices
+        ms = MeasurementSetting(delta_omega=rel, phi=phi, n=n_index)
+        tallies = [t for (t,) in _tallies(config, [ms], first=k * config.blocks)]
+        estimates.append(sum(tallies, EMPTY_TALLY).estimate())
     signs = (1.0, 1.0, 1.0, -1.0)
     return ChshEstimate(
         estimate=_signed_sum(estimates, config.trials),
@@ -367,8 +373,8 @@ def run_weihs_zeilinger(
     designated 2x2 sub-grid (the first two sorted angles of each set;
     sign convention E(a,b) + E(a,b') + E(a',b) - E(a',b')).
 
-    ``keep_records`` retains that many trial records from the start of
-    each stream (for dump/inspection; tallies always use all trials).
+    ``keep_records`` retains the first that many trial records of the
+    run, in trial order (for dump/inspection; tallies use all trials).
     """
     alphas = sorted(float(wrap_angle(a)) for a in set(alpha_choices))
     betas = sorted(float(wrap_angle(b)) for b in set(beta_choices))
@@ -379,37 +385,35 @@ def run_weihs_zeilinger(
     offset = config.setting.delta_omega - wrap_angle(base_phi)
     pair_delta = wrap_angle(np.add.outer(offset + np.array(alphas), betas)).ravel()
 
-    def worker(sub_seed, count):
-        rng = stream_generator(sub_seed)
-        ai = rng.integers(0, len(alphas), size=count)
-        bi = rng.integers(0, len(betas), size=count)
+    records = {}
+
+    def tally_block(rng, block, count):
+        pair = rng.integers(0, pair_delta.size, size=count)
         omega = sample_orientations(rng, count, n_index)
-        pair = ai * len(betas) + bi
-        head = slice(0, max(SPOT, keep_records))
-        o, d = omega[head], pair_delta[pair[head]]
-        s_b = response(wrap_angle(-circle_transform_n(o, d, n_index)))
-        _spot_check(_b_positive(o, d, n_index), s_b)
+        keep = max(0, min(count, keep_records - block * BLOCK))
+        head = slice(0, max(keep, SPOT if block == 0 else 0))
+        if head.stop:
+            o, d = omega[head], pair_delta[pair[head]]
+            s_b = response(wrap_angle(-circle_transform_n(o, d, n_index)))
+            _spot_check(_b_positive(o, d, n_index), s_b)
+            records[block] = [
+                WZTrialRecord(alphas[p // len(betas)], betas[p % len(betas)], response(w), int(s), w)
+                for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
+            ]
         hist = np.zeros(4 * pair_delta.size, dtype=np.int64)
         for lo in range(0, count, CHUNK):
             o, p = omega[lo:lo + CHUNK], pair[lo:lo + CHUNK]
             pos_a, pos_b = o >= 0.0, _b_positive(o, pair_delta[p], n_index)
             hist += np.bincount(4 * p + 2 * pos_a + pos_b, minlength=hist.size)
-        records = tuple(
-            WZTrialRecord(alphas[ai[k]], betas[bi[k]], response(float(omega[k])), int(s_b[k]),
-                          float(omega[k]))
-            for k in range(min(keep_records, count))
-        )
-        return hist, records
+        return hist
 
-    partials = _map_streams(worker, partition_streams(config.seed, config.streams, config.trials))
     # per pair: counts of (s_a, s_b) = (-, -), (-, +), (+, -), (+, +)
-    counts = sum(hist for hist, _ in partials).reshape(-1, 4)
+    counts = sum(_map_blocks(config, tally_block)).reshape(-1, 4)
     pairs = [(a, b) for a in alphas for b in betas]
     pair_tallies = {
         pair: TrialTally(int(c.sum()), int(c[3]), int(c[2]), int(c[1]), int(c[0]))
         for pair, c in zip(pairs, counts)
     }
-    records = [r for _, recs in partials for r in recs]
 
     chsh_pairs = tuple((a, b) for a in alphas[:2] for b in betas[:2])
     # E(a,b) + E(a,b') + E(a',b) - E(a',b'), or E(a,b) alone without a 2x2 sub-grid
@@ -422,5 +426,5 @@ def run_weihs_zeilinger(
         pair_tallies=pair_tallies,
         chsh_pairs=chsh_pairs,
         chsh=_signed_sum(estimates, config.trials),
-        records=tuple(records),
+        records=tuple(r for block in sorted(records) for r in records[block]),
     )

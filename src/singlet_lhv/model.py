@@ -218,30 +218,28 @@ def sample_orientations(rng, size, n=1):
     """Draw hidden orientations with density |sin(n w)|/4, vectorized.
 
     Inverse-CDF in the cosine variable: u uniform on the open (-1, 1),
-    a fair sign, then wrap(sign * acos(u)).  The open interval makes the
-    zero-density poles {0, -pi} unreachable, so exact anti-correlation
-    at delta = 0 holds for every emitted sample.  For n > 1 the n = 1
-    draw is compressed into one double cell and shifted by a uniformly
-    chosen whole cell.
+    a fair sign, then wrap(sign * acos(u)).  u = 2 r - (1 - 2^-53) is
+    exact for the 53-bit uniform r and takes only odd multiples of 2^-53,
+    so the zero-density poles {0, -pi} are unreachable by construction and
+    exact anti-correlation at delta = 0 holds for every emitted sample.
+    For n > 1 the n = 1 draw is compressed into one double cell and
+    shifted by a uniformly chosen whole cell.
 
-    Draw order per call is fixed (u block, sign block, cell block) so a
-    seeded generator reproduces the same samples.
+    Draw order per call is fixed (u block, then one integer block k in
+    [0, 4n) giving sign k & 1 and cell k >> 1), so a seeded generator
+    reproduces the same samples.
     """
     n = _density_index(n)
     omega = rng.random(size)
-    while True:
-        zero = omega == 0.0
-        if not zero.any():
-            break
-        omega[zero] = rng.random(int(zero.sum()))
-    # in place, value for value: sign * arccos(2 r - 1)
+    # in place, value for value: sign * arccos(2 r - (1 - 2^-53))
     omega *= 2.0
-    omega -= 1.0
+    omega -= 1.0 - 2.0**-53
     np.arccos(omega, out=omega)
-    np.negative(omega, out=omega, where=rng.integers(0, 2, size=size) == 0)
+    k = rng.integers(0, 4 * n, size=size)
+    np.negative(omega, out=omega, where=(k & 1) == 0)
     if n > 1:
         omega /= n
-        omega += rng.integers(0, 2 * n, size=size) * (np.pi / n)
+        omega += (k >> 1) * (np.pi / n)
     return _wrap(omega)
 
 

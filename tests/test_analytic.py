@@ -95,6 +95,17 @@ def test_bell_violation_map_finds_violations():
     assert violated and lhs > rhs
 
 
+@pytest.mark.parametrize("points", [1, 2, 7, 30])
+def test_bell_violation_map_equals_the_loop_over_pairs(points):
+    grid = np.linspace(0.0, math.pi, points)
+    want = []
+    for i, d1 in enumerate(grid):
+        for d2 in grid[i:]:
+            chk = bell_inequality_sides(d1, d2)
+            want.append((float(d1), float(d2), chk.lhs, chk.rhs, chk.violated))
+    assert bell_violation_map(points) == want
+
+
 def test_chsh_value_frozen_examples():
     # optimal setting reaches the quantum bound
     assert chsh_value(OPTIMAL_CHSH_SETTING) == pytest.approx(2 * math.sqrt(2), abs=1e-12)

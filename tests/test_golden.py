@@ -1,7 +1,8 @@
 """Golden outputs: the seeded sample set and everything computed from it.
 
-The sha256 digests were recorded before the outcome kernel was chunked;
-a change of draw order, transform arithmetic or tally moves them.  A
+The sha256 digests were recorded once draws became block-keyed (one
+generator per block of trials, keyed by seed and block index); a change
+of draw order, transform arithmetic or tally moves them.  A
 change that moves them on purpose says so and records new digests.  The
 package version in the effective-config header is blanked before
 hashing, so a version bump alone moves nothing.
@@ -20,29 +21,29 @@ GOLDEN = {
     "correlate": (
         ("correlate", "--delta-grid=-3.14159265:3.14159265:9", "--trials", "100000",
          "--seed", "11", "--streams", "3"),
-        "b29315bd65c46a166fff7082ed126508fa850c2568943592c42f4844025954e3",
+        "0df15e6eb90ae5c0059bf3fda3817fc20ee68df2d09e4803fe4b1e1edb07038f",
     ),
     "correlate-n3": (
         ("correlate", "--delta-grid=-2.5,0,0.7,3.0", "--n", "3", "--trials", "70000",
          "--seed", "12", "--streams", "2"),
-        "d3d747b584caa734903b3584e54657c996ea8f6a5e5b2d9173cc7dfaeb2d5013",
+        "e26b52335e815bddb34681efc8de0b8b14da0a378c7fe2d5a83960ad0c63a735",
     ),
     "chsh": (
         ("chsh", "--d-omega", "1.5707963", "--d-omega-p", "0.78539816", "--d-omega-pp=-0.78539816",
          "--trials", "200000", "--seed", "3", "--streams", "2", "--per-trial-distribution",
          "--format", "json"),
-        "7bbb1e3d6b2e957961bc3da7818429c62fdd9e0c749c1e1697274b324dafb690",
+        "13e1af16b5e57cb9b8da03f4e01bd74b96210c8ae8ed053819e7fb33b3e48d4f",
     ),
     "wz-n7": (
         ("wz", "--alpha-set", "0,1.5707963", "--beta-set=0.78539816,-0.78539816", "--n", "7",
          "--trials", "100000", "--seed", "5", "--streams", "2", "--dump-records", "5",
          "--format", "json"),
-        "65b059341cc4322b84311855c3ddbcc4cc1e0108d26acbe8ed902d9a13c5a2a6",
+        "64b117fa455ef7a0ff323ca286d5b5b3121aceea83f6a414101b08d72883b18d",
     ),
     "wz-csv": (
         ("wz", "--alpha-set", "0,1.5707963,3", "--beta-set=0.78539816,-0.78539816",
          "--trials", "90000", "--seed", "6", "--streams", "2"),
-        "f30ced173872b28faf8af9459f740b31720ca4e14846807ef3702de1bc14e952",
+        "274561c392e0df183566a6ddce10a48a71c6a5215126018d6b2fa4f137095de7",
     ),
 }
 

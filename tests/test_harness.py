@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from singlet_lhv import harness
 from singlet_lhv.analytic import (
     OPTIMAL_CHSH_SETTING,
     ChshSetting,
@@ -10,20 +12,20 @@ from singlet_lhv.analytic import (
     correlation,
     joint_probabilities,
 )
+from singlet_lhv.cli import EXIT_OK, main
 from singlet_lhv.harness import (
     EMPTY_TALLY,
     EstimateWithError,
     RunConfig,
     TrialTally,
+    block_generator,
     estimate_chsh,
     estimate_correlation,
-    partition_streams,
     run_weihs_zeilinger,
     scan_correlation,
-    stream_generator,
     tally_outcomes,
 )
-from singlet_lhv.model import MeasurementSetting
+from singlet_lhv.model import MeasurementSetting, sample_orientations
 
 
 def config(delta, trials=100_000, seed=0, streams=4, n=1, **kw):
@@ -46,28 +48,6 @@ def test_run_config_validation():
         RunConfig(trials=1, seed=1, streams=0)
     with pytest.raises(ValueError):
         RunConfig(trials=1, seed=-1)
-
-
-def test_partition_streams_counts_and_determinism():
-    parts = partition_streams(seed=5, streams=4, trials=10)
-    assert [c for _, c in parts] == [3, 3, 2, 2]
-    assert sum(c for _, c in parts) == 10
-    assert parts == partition_streams(seed=5, streams=4, trials=10)
-    other = partition_streams(seed=6, streams=4, trials=10)
-    assert [s for s, _ in parts] != [s for s, _ in other]
-
-
-def test_single_stream_matches_sequential():
-    parts = partition_streams(seed=9, streams=1, trials=1000)
-    assert len(parts) == 1 and parts[0][1] == 1000
-
-
-def test_stream_generators_are_independent_and_reproducible():
-    (s0, _), (s1, _) = partition_streams(seed=1, streams=2, trials=2)
-    a = stream_generator(s0).random(8)
-    b = stream_generator(s1).random(8)
-    assert not np.allclose(a, b)
-    np.testing.assert_array_equal(a, stream_generator(s0).random(8))
 
 
 def test_estimate_with_error_formula():
@@ -93,7 +73,7 @@ def test_tally_deterministic_and_stream_count_changes_samples():
     assert a == b
     c = tally_outcomes(config(1.0, seed=21, streams=1))
     assert c.n == a.n
-    assert c != a  # different partition, different samples, same law
+    assert c == a  # the stream count only sets the thread count
 
 
 # ------------------------------------------------------ correlation
@@ -257,7 +237,7 @@ def test_large_index_correlations_approach_linear_model():
 def test_wz_records_and_empty_sets():
     cfg = config(0.0, trials=1000, seed=51)
     wz = run_weihs_zeilinger(0.0, [0.1], [0.2], cfg, keep_records=5)
-    assert len(wz.records) == 5 * min(cfg.streams, 4)
+    assert len(wz.records) == 5
     for rec in wz.records:
         assert (rec.alpha, rec.beta) == (0.1, 0.2)
         assert rec.s_a in (-1, 1) and rec.s_b in (-1, 1)
@@ -281,3 +261,86 @@ def test_wz_records_consistent_with_measure_pair():
         effective = wrap_angle(d_omega - phi + rec.alpha + rec.beta)
         out = measure_pair(rec.omega_a, MeasurementSetting.from_delta(effective))
         assert (out.s_a, out.s_b) == (rec.s_a, rec.s_b)
+
+
+# ----------------------------------------------------------- blocks
+
+SMALL_BLOCK = 4_099
+
+BLOCK_RUNS = {
+    "correlate": ("correlate", "--delta-grid=-3:3:5", "--n", "3", "--trials", "30001", "--seed", "61"),
+    "chsh": ("chsh", "--d-omega", "1.5707963", "--d-omega-p", "0.78539816", "--d-omega-pp=-0.78539816",
+             "--trials", "30001", "--seed", "62", "--per-trial-distribution"),
+    "chsh-orthodox": ("chsh", "--d-omega", "1.5707963", "--d-omega-p", "0.78539816",
+                      "--d-omega-pp=-0.78539816", "--trials", "30001", "--seed", "63", "--independent"),
+    "wz": ("wz", "--alpha-set", "0,1.5707963", "--beta-set=0.78539816,-0.78539816", "--n", "7",
+           "--trials", "30001", "--seed", "64"),
+    "wz-records": ("wz", "--alpha-set", "0,1.5707963", "--beta-set=0.78539816,-0.78539816",
+                   "--trials", "30001", "--seed", "65", "--dump-records", "5000"),
+}
+
+
+def cli_body(capsys, argv):
+    """CLI output after its effective-config header line."""
+    assert main(list(argv)) == EXIT_OK
+    header, body = capsys.readouterr().out.split("\n", 1)
+    assert header.startswith("# effective-config: ")
+    return body
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+def test_results_do_not_depend_on_the_stream_count(monkeypatch, capsys, name):
+    monkeypatch.setattr(harness, "BLOCK", SMALL_BLOCK)
+    bodies = {s: cli_body(capsys, (*BLOCK_RUNS[name], "--streams", str(s))) for s in (1, 2, 3, 8)}
+    assert bodies[1].count("\n") > 1
+    assert bodies[2] == bodies[1] and bodies[3] == bodies[1] and bodies[8] == bodies[1]
+
+
+def test_no_draw_exceeds_one_block(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "BLOCK", SMALL_BLOCK)
+    sizes = []
+
+    def recording(rng, size, n=1):
+        sizes.append(size)
+        return sample_orientations(rng, size, n)
+
+    monkeypatch.setattr(harness, "sample_orientations", recording)
+    for argv in BLOCK_RUNS.values():
+        cli_body(capsys, (*argv, "--streams", "3"))
+    assert max(sizes) == SMALL_BLOCK
+    assert sum(sizes) == 30001 * (1 + 1 + 4 + 1 + 1)
+
+
+def test_records_are_the_first_trials_across_block_boundaries(monkeypatch):
+    # 5 blocks on 5 threads; the first four add their records to one shared dict
+    monkeypatch.setattr(harness, "BLOCK", SMALL_BLOCK)
+    alphas, betas = [0.0, 1.0], [-0.5, 0.5, 2.0]
+    cfg = config(0.3, trials=20_000, seed=67, streams=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = run_weihs_zeilinger(0.0, alphas, betas, cfg, keep_records=15_000).records
+    finally:
+        sys.setswitchinterval(interval)
+    want = []
+    for block in range(cfg.blocks):
+        count = min(SMALL_BLOCK, cfg.trials - block * SMALL_BLOCK)
+        rng = block_generator(67, block)
+        pair = rng.integers(0, len(alphas) * len(betas), size=count)
+        omega = sample_orientations(rng, count)
+        want += [(alphas[p // 3], betas[p % 3], w) for p, w in zip(pair.tolist(), omega.tolist())]
+    assert [(r.alpha, r.beta, r.omega_a) for r in records] == want[:15_000]
+
+
+def test_orthodox_chsh_draws_each_term_from_its_own_blocks(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", SMALL_BLOCK)
+    keys = []
+
+    def recording(seed, block):
+        keys.append((seed, block))
+        return block_generator(seed, block)
+
+    monkeypatch.setattr(harness, "block_generator", recording)
+    cfg = config(0.0, trials=10_000, seed=71, streams=2, gauge_fixed=False)
+    estimate_chsh(OPTIMAL_CHSH_SETTING, cfg)
+    assert sorted(keys) == [(71, b) for b in range(4 * cfg.blocks)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlet_lhv.analytic import joint_probabilities
-from singlet_lhv.harness import stream_generator
+from singlet_lhv.harness import block_generator
 from singlet_lhv.hidden_values import (
     MATCH_TOL,
     OPERATOR_QUANTITIES,
@@ -167,7 +167,7 @@ def test_monte_carlo_matches_quadrature_for_bounded_quantities():
     # s_ref and the transverse phasor have unit-bounded estimators; the
     # cotangent component is averaged only by quadrature (its sample
     # mean has infinite variance) and is covered by the closed forms
-    rng = stream_generator(99)
+    rng = block_generator(99, 0)
     omega = sample_orientations(rng, 1_000_000)
     delta = 1.2
     subsets = coarse_partition(delta)

@@ -11,11 +11,11 @@ from singlet_lhv import harness
 from singlet_lhv.analytic import OPTIMAL_CHSH_SETTING
 from singlet_lhv.harness import (
     RunConfig,
+    block_generator,
     estimate_chsh,
-    partition_streams,
     run_weihs_zeilinger,
-    stream_generator,
     stream_tallies,
+    tally_outcomes,
 )
 from singlet_lhv.model import (
     MeasurementSetting,
@@ -145,44 +145,48 @@ def test_spot_check_stops_a_wrong_kernel(monkeypatch):
         run_weihs_zeilinger(0.0, [0.0, 1.0], [0.5, -0.5], config)
 
 
-def reference_draws(config, n_pairs=None):
-    """Each stream's draws in the harness's order; the modulator indices come first for WZ."""
-    for sub_seed, count in partition_streams(config.seed, config.streams, config.trials):
-        rng = stream_generator(sub_seed)
-        index = None if n_pairs is None else [rng.integers(0, k, size=count) for k in n_pairs]
-        yield index, sample_orientations(rng, count, config.setting.n)
+def reference_draws(config, n_pairs=0):
+    """(pair index or None, orientations) of the run, drawn block by block as the harness does.
+
+    With n_pairs (WZ), each block draws its modulator pair indices first.
+    """
+    pairs, omegas = [], []
+    for b in range(config.blocks):
+        rng = block_generator(config.seed, b)
+        count = min(harness.BLOCK, config.trials - b * harness.BLOCK)
+        if n_pairs:
+            pairs.append(rng.integers(0, n_pairs, size=count))
+        omegas.append(sample_orientations(rng, count, config.setting.n))
+    return (np.concatenate(pairs) if pairs else None), np.concatenate(omegas)
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_tallies_match_the_public_path_on_the_same_draws(n):
+def test_tallies_match_the_public_path_on_the_same_draws(monkeypatch, n):
+    monkeypatch.setattr(harness, "BLOCK", 4_099)
     setting = MeasurementSetting(delta_omega=2.2, phi=0.4, n=n)
     config = RunConfig(trials=50_001, seed=31, streams=2, setting=setting)
 
-    for tally, (_, omega) in zip(stream_tallies(config), reference_draws(config)):
-        s_a, s_b = response(omega), response(b_frame_coordinate(omega, setting))
-        assert (tally.n_pp, tally.n_pm, tally.n_mp) == (
-            np.sum((s_a > 0) & (s_b > 0)), np.sum((s_a > 0) & (s_b < 0)), np.sum((s_a < 0) & (s_b > 0))
-        )
+    tally = tally_outcomes(config)
+    _, omega = reference_draws(config)
+    s_a, s_b = response(omega), response(b_frame_coordinate(omega, setting))
+    assert (tally.n_pp, tally.n_pm, tally.n_mp) == (
+        np.sum((s_a > 0) & (s_b > 0)), np.sum((s_a > 0) & (s_b < 0)), np.sum((s_a < 0) & (s_b > 0))
+    )
 
     deltas = [wrap_angle(r - setting.phi) for r in OPTIMAL_CHSH_SETTING.relative_orientations()]
-    values = []
-    for _, omega in reference_draws(config):
-        s = [response(b_frame_coordinate(omega, MeasurementSetting.from_delta(d, n=n))) for d in deltas]
-        values.append(response(omega) * (s[0] + s[1] + s[2] - s[3]))
-    found, counts = np.unique(np.concatenate(values), return_counts=True)
+    s = [response(b_frame_coordinate(omega, MeasurementSetting.from_delta(d, n=n))) for d in deltas]
+    found, counts = np.unique(response(omega) * (s[0] + s[1] + s[2] - s[3]), return_counts=True)
     expected = {int(v): int(c) for v, c in zip(found, counts)}
     assert estimate_chsh(OPTIMAL_CHSH_SETTING, config).per_trial_counts == expected
 
     alphas, betas = [-1.0, 0.3], [0.2, 1.1, 2.9]
     wz = run_weihs_zeilinger(setting.phi, alphas, betas, config)
+    pair, omega = reference_draws(config, len(alphas) * len(betas))
     for (a, b), tally in wz.pair_tallies.items():
-        n_pp = n_pm = n_mp = 0
-        for (ai, bi), omega in reference_draws(config, (len(alphas), len(betas))):
-            mask = (ai == alphas.index(a)) & (bi == betas.index(b))
-            delta = wrap_angle(setting.delta_omega - setting.phi + a + b)
-            s_a = response(omega[mask])
-            s_b = response(wrap_angle(-circle_transform_n(omega[mask], delta, n)))
-            n_pp += np.sum((s_a > 0) & (s_b > 0))
-            n_pm += np.sum((s_a > 0) & (s_b < 0))
-            n_mp += np.sum((s_a < 0) & (s_b > 0))
-        assert (tally.n_pp, tally.n_pm, tally.n_mp) == (n_pp, n_pm, n_mp)
+        mask = pair == alphas.index(a) * len(betas) + betas.index(b)
+        delta = wrap_angle(setting.delta_omega - setting.phi + a + b)
+        s_a = response(omega[mask])
+        s_b = response(wrap_angle(-circle_transform_n(omega[mask], delta, n)))
+        assert (tally.n_pp, tally.n_pm, tally.n_mp) == (
+            np.sum((s_a > 0) & (s_b > 0)), np.sum((s_a > 0) & (s_b < 0)), np.sum((s_a < 0) & (s_b > 0))
+        )

@@ -330,6 +330,31 @@ def test_sampler_never_emits_poles():
     assert np.all((omega >= -np.pi) & (omega < np.pi))
 
 
+class EdgeStream:
+    """Generator stub: every edge uniform double meets every integer draw in [0, 4n)."""
+
+    EDGES = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+
+    def __init__(self, n):
+        self.k = 4 * n
+
+    def random(self, size):
+        assert size == self.EDGES.size * self.k
+        return np.repeat(self.EDGES, self.k)
+
+    def integers(self, low, high, size):
+        assert (low, high) == (0, self.k)
+        return np.tile(np.arange(self.k), self.EDGES.size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_sampler_edges_of_the_uniform_stream_miss_the_poles(n):
+    omega = sample_orientations(EdgeStream(n), EdgeStream.EDGES.size * 4 * n, n)
+    assert np.all(omega != 0.0)
+    assert np.all(omega != -np.pi)
+    assert np.all((omega >= -np.pi) & (omega < np.pi))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_sampler_ks_against_cdf(n):
     omega = sample_orientations(rng(42 + n), 1_000_000, n)
