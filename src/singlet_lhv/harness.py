@@ -37,9 +37,9 @@ from .model import (
 )
 
 MAX_TALLY_WORKERS = 8
-# Trials per seeded block (4 MB of doubles).  It splits the CLI's decimal
-# trial counts evenly over streams; 2^15-trial blocks ran 1.7x slower from
-# allocator churn, and 2^19 split 1e6 trials unevenly over two streams.
+# Trials per seeded block (4 MB of doubles); it splits the CLI's decimal trial
+# counts evenly over streams.  On the 1e6-trial scan (2 cores), 2^15-trial blocks
+# ran 1.7x slower (allocator churn) and 2^19 split the trials unevenly.
 BLOCK = 500_000
 # Trials per transform-and-tally step; a chunk boundary never changes a result.
 CHUNK = 1 << 15
