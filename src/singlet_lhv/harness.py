@@ -4,7 +4,7 @@ A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
 (``block_generator``, the only seeding rule).  Inside a block the
-outcome kernel and the tally run over chunks of CHUNK trials; tallies are
+outcome kernel and the tally run over chunks of trials; tallies are
 exact integers.  Neither the chunk size nor the stream count changes a
 result, and memory stays O(BLOCK x streams) whatever the trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
@@ -37,12 +37,13 @@ from .model import (
 )
 
 MAX_TALLY_WORKERS = 8
-# Trials per seeded block (4 MB of doubles); it splits the CLI's decimal trial
-# counts evenly over streams.  On the 1e6-trial scan (2 cores), 2^15-trial blocks
-# ran 1.7x slower (allocator churn) and 2^19 split the trials unevenly.
-BLOCK = 500_000
-# Trials per transform-and-tally step; a chunk boundary never changes a result.
-CHUNK = 1 << 15
+# Trials per seeded block; a run gets at most one thread per block.
+BLOCK = 250_000
+# Trials per kernel step of ROWS settings.  BLOCK / CHUNK near 16 keeps a step's
+# temporaries under glibc's trim threshold, which follows the largest freed
+# block array; lower ratios ran the scan 1.7x slower on 2 cores.  WZ's
+# one-setting steps take 2 CHUNK trials, which ran its n = 7 run 8% faster.
+CHUNK = 1 << 14
 # Leading trials of block 0 checked against the public transform.  The
 # kernel's correctness rests on tests/test_kernel.py; this check stays only
 # while perfbench's traced frame metrics need these public calls (ROADMAP 6).
@@ -401,8 +402,8 @@ def run_weihs_zeilinger(
                 for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
             ]
         hist = np.zeros(4 * pair_delta.size, dtype=np.int64)
-        for lo in range(0, count, CHUNK):
-            o, p = omega[lo:lo + CHUNK], pair[lo:lo + CHUNK]
+        for lo in range(0, count, 2 * CHUNK):
+            o, p = omega[lo:lo + 2 * CHUNK], pair[lo:lo + 2 * CHUNK]
             pos_a, pos_b = o >= 0.0, _b_positive(o, pair_delta[p], n_index)
             hist += np.bincount(4 * p + 2 * pos_a + pos_b, minlength=hist.size)
         return hist

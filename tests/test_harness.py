@@ -267,6 +267,14 @@ def test_wz_records_consistent_with_measure_pair():
 
 SMALL_BLOCK = 4_099
 
+
+def test_block_generators_are_distinct_and_reproducible():
+    seed = 2**64 - 2
+    draws = [block_generator(s, b).random(8) for s, b in ((seed, 0), (seed, 1), (seed + 1, 0))]
+    assert np.array_equal(block_generator(seed, 0).random(8), draws[0])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not np.any(draws[i] == draws[j])
+
 BLOCK_RUNS = {
     "correlate": ("correlate", "--delta-grid=-3:3:5", "--n", "3", "--trials", "30001", "--seed", "61"),
     "chsh": ("chsh", "--d-omega", "1.5707963", "--d-omega-p", "0.78539816", "--d-omega-pp=-0.78539816",
