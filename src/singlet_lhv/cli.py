@@ -303,6 +303,8 @@ def _cmd_weak_values(args, header):
 def _cmd_paths(args, header):
     with open(args.operators, "r", encoding="utf-8") as fh:
         named = json.load(fh)
+    if not isinstance(named, dict) or not all(isinstance(v, dict) for v in named.values()):
+        raise ValueError("--operators must be a JSON object of named operators {dim, re, im}")
     ops = {name: load_operator(spec) for name, spec in named.items()}
     hamiltonian = load_operator(args.hamiltonian)
     times = [float(t) for t in args.times.split(",") if t.strip()]

@@ -39,6 +39,7 @@ from typing import Callable
 
 from .model import orientation_cdf, wrap_angle
 from .quantum import (
+    OUTCOME_PAIRS,
     PostSelection,
     bell_state,
     polarization_operator,
@@ -49,8 +50,6 @@ from .quantum import (
 MATCH_TOL = 1e-8
 ZERO_MEASURE_TOL = 1e-12
 QUAD_EPSABS = 1e-10
-
-OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class ZeroMeasureSubsetError(ValueError):
@@ -365,15 +364,17 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
     omega_a_ref = 0.0
     omega_b_ref = wrap_angle(omega_a_ref + d_omega)
 
+    ops = {
+        "A": [polarization_operator(omega_a_ref, axis) for axis in OPERATOR_QUANTITIES],
+        "B": [polarization_operator_b(omega_b_ref, axis) for axis in OPERATOR_QUANTITIES],
+    }
     rows = {"A": [], "B": []}
     for subset, b_subset in zip(partition, b_coarse_partition(delta)):
         post = PostSelection(omega_a_ref, subset.s_a, omega_b_ref, subset.s_b)
-        for side, averaged, operator, ref in (
-            ("A", subset, polarization_operator, omega_a_ref),
-            ("B", b_subset, polarization_operator_b, omega_b_ref),
-        ):
+        for side, averaged in (("A", subset), ("B", b_subset)):
             averages = subset_averages(averaged)
-            for axis in OPERATOR_QUANTITIES:
+            oracle = weak_value(psi, post, ops[side], side)
+            for axis, value in zip(OPERATOR_QUANTITIES, oracle):
                 rows[side].append(
                     MatchRow(
                         s_a=subset.s_a,
@@ -381,7 +382,7 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
                         operator=axis,
                         subsystem=side,
                         model_average=averages[axis],
-                        oracle_weak_value=weak_value(psi, post, operator(ref, axis), side),
+                        oracle_weak_value=value,
                     )
                 )
     return WeakValueReport(

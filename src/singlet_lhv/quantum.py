@@ -32,6 +32,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 AXES = ("in-plane", "orthogonal-in-plane", "flight")
+OUTCOME_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class PostSelectionOverlapError(ValueError):
@@ -124,7 +125,20 @@ class PostSelection:
         )
 
 
-def _check_normalized(state, tol=1e-12):
+def post_selection_bras(omega_a_ref, omega_b_ref) -> np.ndarray:
+    """Rows are PostSelection(omega_a_ref, s_a, omega_b_ref, s_b).state() in OUTCOME_PAIRS order."""
+    bases = [[in_plane_eigenstate(w, s) for s in (1, -1)] for w in (omega_a_ref, omega_b_ref)]
+    return np.kron(*np.array(bases))
+
+
+def _amplitudes(psi, bras, ops=()):
+    """<f|psi> per bra row f and <f|O|psi> per 4x4 O, each one np.vdot, as Python complex."""
+    images = np.asarray(ops, dtype=complex).reshape(-1, 4, 4) @ psi
+    overlaps = [complex(np.vdot(f, psi)) for f in bras]
+    return overlaps, [[complex(np.vdot(f, v)) for v in images] for f in bras]
+
+
+def _check_normalized(state):
     state = np.asarray(state, dtype=complex)
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > 1e-9:
@@ -134,44 +148,35 @@ def _check_normalized(state, tol=1e-12):
 
 def born_probabilities(state, omega_a_ref, omega_b_ref) -> JointDistribution:
     """Joint outcome probabilities for strong in-plane measurements."""
-    psi = _check_normalized(state)
-    probs = {}
-    for s_a in (1, -1):
-        for s_b in (1, -1):
-            f = PostSelection(omega_a_ref, s_a, omega_b_ref, s_b).state()
-            probs[(s_a, s_b)] = float(abs(np.vdot(f, psi)) ** 2)
-    return JointDistribution(
-        p_pp=probs[(1, 1)],
-        p_pm=probs[(1, -1)],
-        p_mp=probs[(-1, 1)],
-        p_mm=probs[(-1, -1)],
+    overlaps, _ = _amplitudes(
+        _check_normalized(state), post_selection_bras(omega_a_ref, omega_b_ref)
     )
+    return JointDistribution(*(float(abs(amp) ** 2) for amp in overlaps))
 
 
-def weak_value(pre_state, post: PostSelection, op: np.ndarray, subsystem="A") -> complex:
+def weak_value(pre_state, post: PostSelection, op: np.ndarray, subsystem="A") -> complex | list:
     """Conditioned value <f|O|psi> / <f|psi> between pre- and post-selection.
 
     ``op`` may be 2x2 (lifted onto the requested subsystem) or 4x4
-    (subsystem ignored).  Raises PostSelectionOverlapError when the
-    post-selected bra is orthogonal to the prepared state.
+    (subsystem ignored), or a (k, 2, 2) or (k, 4, 4) stack, which gives the
+    list of the k single-operator values.  Raises PostSelectionOverlapError
+    when the post-selected bra is orthogonal to the prepared state.
     """
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     psi = np.asarray(pre_state, dtype=complex)
     op = np.asarray(op, dtype=complex)
-    if op.shape == (2, 2):
-        full = embed_a(op) if subsystem == "A" else embed_b(op)
-    elif op.shape == (4, 4):
-        full = op
-    else:
+    if op.ndim not in (2, 3) or op.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"operator shape {op.shape} unsupported")
-    f = post.state()
-    den = complex(np.vdot(f, psi))
+    if op.shape[-1] == 2:
+        op = embed_a(op) if subsystem == "A" else embed_b(op)
+    (den,), (nums,) = _amplitudes(psi, [post.state()], op)
     if abs(den) <= OVERLAP_TOL:
         raise PostSelectionOverlapError(
             f"post-selection overlap {abs(den):.3e} below {OVERLAP_TOL:.0e}"
         )
-    return complex(np.vdot(f, full @ psi)) / den
+    values = [num / den for num in nums]
+    return values if op.ndim == 3 else values[0]
 
 
 def is_hermitian(op, tol=HERMITICITY_TOL) -> bool:
@@ -267,31 +272,17 @@ def path_ensemble(
     for name, op in ops.items():
         op = np.asarray(op, dtype=complex)
         full_ops[name] = embed_a(op) if op.shape == (2, 2) else op
-    posts = [
-        PostSelection(omega_a_ref, s_a, omega_b_ref, s_b)
-        for s_a in (1, -1)
-        for s_b in (1, -1)
-    ]
+    bras = post_selection_bras(omega_a_ref, omega_b_ref)
     out = []
     for t in times:
-        evolved = {name: heisenberg_evolve(op, h, t) for name, op in full_ops.items()}
+        evolved = [heisenberg_evolve(op, h, t) for op in full_ops.values()]
+        overlaps, nums = _amplitudes(psi, bras, evolved)
         branches = []
-        for post in posts:
-            f = post.state()
-            amp = complex(np.vdot(f, psi))
-            p = float(abs(amp) ** 2)
-            if abs(amp) <= OVERLAP_TOL:
-                branches.append(
-                    PathBranch(post.s_a, post.s_b, probability=p, weak_values=None)
-                )
-                continue
-            wvs = {
-                name: complex(np.vdot(f, op_t @ psi)) / amp
-                for name, op_t in evolved.items()
-            }
-            branches.append(
-                PathBranch(post.s_a, post.s_b, probability=p, weak_values=wvs)
-            )
+        for (s_a, s_b), amp, branch_nums in zip(OUTCOME_PAIRS, overlaps, nums):
+            wvs = None
+            if abs(amp) > OVERLAP_TOL:
+                wvs = {name: num / amp for name, num in zip(full_ops, branch_nums)}
+            branches.append(PathBranch(s_a, s_b, probability=float(abs(amp) ** 2), weak_values=wvs))
         if not any(b.probability > 0.0 for b in branches):
             raise ValueError("no branch has positive probability")
         out.append(PathEnsemble(time=float(t), branches=tuple(branches)))
@@ -313,9 +304,13 @@ def load_operator(source) -> np.ndarray:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"operator must be a JSON object, got {type(payload).__name__}")
     dim = payload.get("dim")
     if dim not in (2, 4):
         raise ValueError(f"dim must be 2 or 4, got {dim!r}")
+    if "re" not in payload or "im" not in payload:
+        raise ValueError("operator needs both fields re and im")
     re = np.asarray(payload["re"], dtype=float)
     im = np.asarray(payload["im"], dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -318,6 +318,50 @@ def test_correlate_empty_grid_is_usage_error(capsys, spec):
     assert "--delta-grid" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_seed_outside_64_unsigned_bits_is_usage_error(capsys, seed):
+    code = main(["correlate", "--delta-grid", "0", "--trials", "1000", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "seed must fit in 64 unsigned bits" in captured.err and captured.out == ""
+
+
+def test_largest_64_bit_seed_runs(capsys):
+    code, _ = run_cli(
+        capsys, "correlate", "--delta-grid", "0", "--trials", "1000",
+        "--seed", "18446744073709551615",
+    )
+    assert code == EXIT_OK
+
+
+_PAULI_Z_SPEC = {"dim": 2, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, operators, message",
+    [
+        ({"dim": 2, "re": [[1, 0], [0, -1]]}, {"sz": _PAULI_Z_SPEC}, "re and im"),
+        (_PAULI_Z_SPEC, {"sz": {"dim": 2, "im": [[0, 0], [0, 0]]}}, "re and im"),
+        ([_PAULI_Z_SPEC], {"sz": _PAULI_Z_SPEC}, "JSON object"),
+        (_PAULI_Z_SPEC, [_PAULI_Z_SPEC], "--operators"),
+        (_PAULI_Z_SPEC, {"a": 5}, "--operators"),
+    ],
+    ids=["hamiltonian-without-im", "operator-without-re", "hamiltonian-list",
+         "operators-list", "operator-not-object"],
+)
+def test_paths_malformed_operator_file_is_usage_error(tmp_path, capsys, hamiltonian,
+                                                      operators, message):
+    ham, ops = tmp_path / "h.json", tmp_path / "ops.json"
+    ham.write_text(json.dumps(hamiltonian))
+    ops.write_text(json.dumps(operators))
+    code = main(["paths", "--omega-b", "1.0", "--hamiltonian", str(ham),
+                 "--operators", str(ops), "--times", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and message in captured.err
+    assert captured.out == ""
+
+
 def test_correlate_reads_list_starting_with_negative(capsys):
     # a usage line alone would mean argparse took "-2.5,1" for an option
     code, out = run_cli(

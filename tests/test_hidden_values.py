@@ -31,7 +31,14 @@ from singlet_lhv.model import (
     sample_orientations,
     wrap_angle,
 )
-from singlet_lhv.quantum import bell_state, embed_a, polarization_operator
+from singlet_lhv.quantum import (
+    PostSelection,
+    bell_state,
+    embed_a,
+    polarization_operator,
+    polarization_operator_b,
+    weak_value,
+)
 
 
 # ------------------------------------------------------------ triple
@@ -273,6 +280,22 @@ def test_weak_value_match_random_settings(phi, delta_omega):
     assert not report.degenerate
     assert report.passed, (phi, delta_omega, report.max_abs_diff)
     assert report.b_side_passed
+
+
+@given(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+def test_report_oracle_equals_scalar_weak_value(phi, delta_omega):
+    # the report's batched oracle is held to one weak_value call per row, exactly
+    report = verify_weak_value_match(phi, delta_omega)
+    psi, omega_b_ref = bell_state(report.phi), report.delta_omega
+    operators = {"A": (polarization_operator, 0.0), "B": (polarization_operator_b, omega_b_ref)}
+    for row in report.comparisons + report.b_side_comparisons:
+        post = PostSelection(0.0, row.s_a, omega_b_ref, row.s_b)
+        operator, ref = operators[row.subsystem]
+        want = weak_value(psi, post, operator(ref, row.operator), row.subsystem)
+        assert row.oracle_weak_value == want
 
 
 def test_weak_value_match_report_serializes():

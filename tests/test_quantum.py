@@ -23,6 +23,7 @@ from singlet_lhv.quantum import (
     path_ensemble,
     polarization_operator,
     polarization_operator_b,
+    post_selection_bras,
     weak_value,
 )
 
@@ -186,6 +187,36 @@ def test_weak_value_flight_closed_form():
     assert got == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
+def test_post_selection_bras_rows_are_post_selection_states():
+    rng = np.random.default_rng(61)
+    for oa, ob in [(0.0, 0.0), (math.pi, -math.pi), *rng.uniform(-4, 4, (20, 2))]:
+        bras = post_selection_bras(oa, ob)
+        for row, (s_a, s_b) in zip(bras, [(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+            assert np.array_equal(row, PostSelection(oa, s_a, ob, s_b).state())
+
+
+@pytest.mark.parametrize(
+    "subsystem, dim, embed", [("A", 2, embed_a), ("B", 2, embed_b), ("A", 4, None)]
+)
+def test_weak_value_of_a_stack_equals_per_operator_calls(subsystem, dim, embed):
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        psi = bell_state(rng.uniform(-math.pi, math.pi))
+        oa, ob = rng.uniform(-math.pi, math.pi, 2)
+        post = PostSelection(oa, int(rng.choice([1, -1])), ob, -1)
+        stack = np.array([rand_hermitian(rng, dim) for _ in range(5)])
+        got = weak_value(psi, post, stack, subsystem)
+        assert got == [weak_value(psi, post, op, subsystem) for op in stack]
+        f, full = post.state(), stack if dim == 4 else [embed(op) for op in stack]
+        assert got == [complex(np.vdot(f, op @ psi)) / complex(np.vdot(f, psi)) for op in full]
+
+
+def test_weak_value_rejects_unsupported_stack_shape():
+    post = PostSelection(0.3, 1, 1.2, -1)
+    with pytest.raises(ValueError, match="shape"):
+        weak_value(bell_state(0.0), post, np.zeros((2, 3, 3)), "A")
+
+
 def test_weak_value_orthogonal_postselection_raises():
     psi = bell_state(0.0)
     # at delta = 0 the (+1, +1) branch has zero amplitude
@@ -293,6 +324,27 @@ def test_path_sum_rules_randomized():
         )
         assert corr == pytest.approx(complex(np.vdot(psi, o1_t @ o2_t @ psi)), abs=1e-10)
     assert psi is not None
+
+
+def test_paths_and_born_equal_per_post_vdot_ratios():
+    # the shared amplitude routine is held to the scalar form, exactly
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        phi, oa, ob = rng.uniform(-math.pi, math.pi, 3)
+        psi = bell_state(phi)
+        ops = {"a": rand_hermitian(rng, 2), "j": rand_hermitian(rng, 4)}
+        h = rand_hermitian(rng, int(rng.choice([2, 4])))
+        h4 = embed_a(h) if h.shape == (2, 2) else h
+        t = rng.uniform(-2, 2)
+        (ens,) = path_ensemble(psi, oa, ob, ops, h, [t])
+        born = born_probabilities(psi, oa, ob)
+        for br, p in zip(ens.branches, (born.p_pp, born.p_pm, born.p_mp, born.p_mm)):
+            f = PostSelection(oa, br.s_a, ob, br.s_b).state()
+            amp = complex(np.vdot(f, psi))
+            assert br.probability == p == float(abs(np.vdot(f, psi)) ** 2)
+            for name, op in ops.items():
+                op_t = heisenberg_evolve(embed_a(op) if op.shape == (2, 2) else op, h4, t)
+                assert br.weak_values[name] == complex(np.vdot(f, op_t @ psi)) / amp
 
 
 def test_path_zero_probability_branch_flagged():
