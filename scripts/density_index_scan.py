@@ -3,7 +3,8 @@
 
 For n = 1 the Monte Carlo correlation reproduces -cos(delta); as n
 grows it migrates toward the classical sawtooth 2|delta|/pi - 1 of the
-uniform linear model.  Emits one CSV row per (n, delta).
+uniform linear model.  Emits one CSV row per (n, delta), with the exact
+expectation at n (``exact``) next to the n = 1 curve and the sawtooth.
 """
 
 import argparse
@@ -27,9 +28,9 @@ def main():
     indices = [int(tok) for tok in args.indices.split(",")]
     grid = np.linspace(-np.pi, np.pi, args.points)
     writer = sys.stdout
-    writer.write("n,delta_rad,estimate,std_error,cos_model,sawtooth\n")
+    writer.write("n,delta_rad,estimate,std_error,exact,cos_model,sawtooth\n")
     for n in indices:
-        worst = 0.0
+        worst = worst_exact = 0.0
         for i, delta in enumerate(grid):
             cfg = RunConfig(
                 trials=args.trials,
@@ -38,13 +39,15 @@ def main():
                 setting=MeasurementSetting.from_delta(delta, n=n),
             )
             est = estimate_correlation(cfg)
-            saw = float(linear_model_correlation(delta))
+            exact, saw = float(correlation(delta, n)), float(linear_model_correlation(delta))
             worst = max(worst, abs(est.value - saw))
+            worst_exact = max(worst_exact, abs(est.value - exact))
             writer.write(
                 f"{n},{delta:.6f},{est.value:.6f},{est.std_error:.6f},"
-                f"{float(correlation(delta)):.6f},{saw:.6f}\n"
+                f"{exact:.6f},{float(correlation(delta)):.6f},{saw:.6f}\n"
             )
-        print(f"# n={n}: max |estimate - sawtooth| = {worst:.4f}", file=sys.stderr)
+        print(f"# n={n}: max |estimate - sawtooth| = {worst:.4f}, "
+              f"max |estimate - exact| = {worst_exact:.4f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Closed-form predictions and Bell/CHSH inequality expressions.
 
 These are the exact references against which the Monte Carlo harness is
-checked: joint outcome probabilities, the correlation -cos(delta), the
-two-angle Bell inequality, and the three-angle CHSH combination.
+checked: joint outcome probabilities, the correlation at every density
+index, the two-angle Bell inequality, and the three-angle CHSH combination.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import circle_transform_n, linear_reference, wrap_angle
+from .model import _density_index, circle_transform_n, linear_reference, wrap_angle
 
 VIOLATION_TOL = 1e-12
 
@@ -55,9 +55,18 @@ def joint_probabilities(delta) -> JointDistribution:
     return JointDistribution(p_pp=anti, p_pm=corr, p_mp=corr, p_mm=anti)
 
 
-def correlation(delta):
-    """Expected product of the two outcomes: -cos(delta)."""
-    return -np.cos(wrap_angle(delta))
+def correlation(delta, n=1):
+    """Expected product of the two outcomes at density index n; -cos(delta) at n = 1.
+
+    The product is +1 on two arcs that each carry the |sin(n w)|/4 mass of
+    [0, |delta|).  With n |delta| = m pi + x, integer m and x in [0, pi),
+    that is E_n = (2 m + 1 - cos x) / n - 1; n = 1 keeps the bit-exact -cos.
+    """
+    d, n = wrap_angle(delta), _density_index(n)
+    if n == 1:
+        return -np.cos(d)
+    m, x = np.divmod(n * np.abs(d), np.pi)
+    return (2.0 * m + 1.0 - np.cos(x)) / n - 1.0
 
 
 def linear_model_correlation(delta):
@@ -104,7 +113,7 @@ def bell_violation_map(points=60):
 
 @dataclass(frozen=True)
 class ChshSetting:
-    """The three relative angles entering the CHSH combination."""
+    """The three relative angles of the CHSH combination: floats, or equal-shape arrays (a grid)."""
 
     d_omega: float
     d_omega_p: float
@@ -115,14 +124,14 @@ class ChshSetting:
         object.__setattr__(self, "d_omega_p", wrap_angle(self.d_omega_p))
         object.__setattr__(self, "d_omega_pp", wrap_angle(self.d_omega_pp))
 
-    def relative_orientations(self):
-        """The four B orientations measured against the common reference."""
-        return (
-            self.d_omega_p,
-            self.d_omega_pp,
-            wrap_angle(self.d_omega_p - self.d_omega),
-            wrap_angle(self.d_omega_pp - self.d_omega),
-        )
+    def relative_orientations(self, phi=0.0):
+        """Effective parameters wrap(r - phi) of the four CHSH terms, stacked on a first axis of 4.
+
+        r = d', d'', wrap(d' - d), wrap(d'' - d): the B orientations against
+        the common reference.  A run's settings use its wrapped state phase.
+        """
+        d, dp, dpp = self.d_omega, self.d_omega_p, self.d_omega_pp
+        return wrap_angle(np.array([dp, dpp, wrap_angle(dp - d), wrap_angle(dpp - d)]) - phi)
 
 
 OPTIMAL_CHSH_SETTING = ChshSetting(
@@ -130,10 +139,18 @@ OPTIMAL_CHSH_SETTING = ChshSetting(
 )
 
 
-def chsh_value(setting: ChshSetting) -> float:
-    """|E(d') + E(d'') + E(d' - d) - E(d'' - d)| with E = -cos."""
-    r1, r2, r3, r4 = setting.relative_orientations()
-    return float(abs(correlation(r1) + correlation(r2) + correlation(r3) - correlation(r4)))
+def chsh_expectation(setting: ChshSetting, phi=0.0, n=1):
+    """Exact E(r1) + E(r2) + E(r3) - E(r4) over relative_orientations(phi), E = correlation at n.
+
+    An array-valued setting gives an array.
+    """
+    e = correlation(setting.relative_orientations(phi), n)
+    return e[0] + e[1] + e[2] - e[3]
+
+
+def chsh_value(setting: ChshSetting, phi=0.0, n=1) -> float:
+    """|chsh_expectation(setting, phi, n)|, the CHSH magnitude compared with 2."""
+    return float(abs(chsh_expectation(setting, phi, n)))
 
 
 def chsh_grid_max(points=21):
@@ -144,10 +161,8 @@ def chsh_grid_max(points=21):
     Returns (max_value, argmax ChshSetting).
     """
     base = np.linspace(0.0, np.pi, points)
-    # the loop over (d, d', d'') of chsh_value, elementwise; argmax keeps its first maximum
-    d, dp, dpp = np.meshgrid(wrap_angle(base), wrap_angle(base), wrap_angle(-base), indexing="ij")
-    partial = correlation(dp) + correlation(dpp) + correlation(wrap_angle(dp - d))
-    values = np.abs(partial - correlation(wrap_angle(dpp - d)))
+    # chsh_value over all (d, d', d'') at once; argmax keeps the loop's first maximum
+    values = np.abs(chsh_expectation(ChshSetting(*np.meshgrid(base, base, -base, indexing="ij"))))
     i, j, k = np.unravel_index(np.argmax(values), values.shape)
     return float(values[i, j, k]), ChshSetting(d_omega=base[i], d_omega_p=base[j], d_omega_pp=-base[k])
 

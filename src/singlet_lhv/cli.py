@@ -251,7 +251,7 @@ def _cmd_chsh(args, header):
         "std_error": result.estimate.std_error,
         "n": result.estimate.n,
         "analytic": result.analytic,
-        "analytic_abs": chsh_value(setting),
+        "analytic_abs": chsh_value(setting, ms.phi, ms.n),
         "out_of_range_fraction": result.out_of_range_fraction,
     }
     if args.per_trial_distribution and result.per_trial_counts is not None:
@@ -308,6 +308,8 @@ def _cmd_paths(args, header):
     ops = {name: load_operator(spec) for name, spec in named.items()}
     hamiltonian = load_operator(args.hamiltonian)
     times = [float(t) for t in args.times.split(",") if t.strip()]
+    if not times:
+        raise ValueError(f"--times {args.times!r} has no times")
     state = bell_state(_angle(args.phi, args.degrees))
     ensembles = path_ensemble(
         state,
@@ -354,7 +356,7 @@ def _cmd_wz(args, header):
             "std_error": est.std_error,
             "n": est.n,
             "analytic": float(
-                correlation(wrap_angle(setting.delta_omega - setting.phi + a + b))
+                correlation(wrap_angle(setting.delta_omega - setting.phi + a + b), setting.n)
             ),
         }
         for (a, b), est in sorted(result.pair_correlations().items())

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ChshSetting, correlation
+from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
     MeasurementSetting,
     _b_positive,
@@ -251,18 +251,15 @@ def scan_correlation(delta_grid: Sequence[float], config: RunConfig) -> list[Sca
 
     Each grid point runs with phi = 0 and delta_omega = delta on the
     run's one sample set: each block is drawn once and tallied at all
-    points.
-    The analytic column is the n = 1 closed form -cos(delta); for n > 1
-    it is a reference curve only (no closed form exists for the
-    estimate's expectation).
+    points.  The analytic column is the exact expectation at the run's
+    density index.
     """
     settings = [MeasurementSetting.from_delta(delta, n=config.setting.n) for delta in delta_grid]
-    rows = []
-    for delta, per_stream in zip(delta_grid, zip(*_tallies(config, settings))):
-        est = sum(per_stream, EMPTY_TALLY).estimate()
-        analytic = float(correlation(delta))
-        rows.append(ScanRow(float(wrap_angle(delta)), est.value, est.std_error, analytic, est.n))
-    return rows
+    estimates = [sum(tallies, EMPTY_TALLY).estimate() for tallies in zip(*_tallies(config, settings))]
+    return [
+        ScanRow(ms.delta, est.value, est.std_error, float(correlation(ms.delta, ms.n)), est.n)
+        for ms, est in zip(settings, estimates)
+    ]
 
 
 @dataclass(frozen=True)
@@ -282,59 +279,46 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
     {0, +-2, +-4}; the fraction outside [-2, 2] is reported along with
     the exact per-value counts.  Orthodox mode draws independent trials
     for each of the four correlations and reports their combination.
+    Both measure the settings of ``relative_orientations(phi)`` and report
+    ``chsh_expectation`` as ``analytic``.
     """
-    orientations = setting.relative_orientations()
     phi = config.setting.phi
     n_index = config.setting.n
+    settings = [MeasurementSetting.from_delta(r, n=n_index) for r in setting.relative_orientations(phi)]
+    analytic = float(chsh_expectation(setting, phi, n_index))
 
-    if config.gauge_fixed:
-        settings = [MeasurementSetting(delta_omega=r - phi, phi=0.0, n=n_index) for r in orientations]
-        column = np.array([[ms.delta] for ms in settings])
+    if not config.gauge_fixed:
+        # fresh trials per term: its own range of block indices
+        estimates = [
+            sum((t for (t,) in _tallies(config, [ms], first=k * config.blocks)), EMPTY_TALLY).estimate()
+            for k, ms in enumerate(settings)
+        ]
+        return ChshEstimate(_signed_sum(estimates, config.trials), analytic, None, None)
 
-        def tally_block(rng, block, count):
-            omega = _draw_checked(rng, count, settings, n_index, block)
-            hist = np.zeros(9, dtype=np.int64)
-            for lo in range(0, count, CHUNK):
-                o = omega[lo:lo + CHUNK]
-                b = _b_positive(o, column, n_index).view(np.int8)
-                # s_a * (s1 + s2 + s3 - s4) with s = 2 [B = +1] - 1
-                x = 2 * (b[0] + b[1] + b[2] - b[3]) - 2
-                x = np.where(o >= 0.0, x, -x)
-                hist += np.bincount(x + 4, minlength=9)
-            return hist
+    column = np.array([[ms.delta] for ms in settings])
 
-        hist = sum(_map_blocks(config, tally_block))
-        counts = {v - 4: int(c) for v, c in enumerate(hist) if c}
-        n = sum(counts.values())
-        total = sum(v * c for v, c in counts.items())
-        total_sq = sum(v * v * c for v, c in counts.items())
-        mean = total / n
-        var = max(0.0, total_sq / n - mean * mean)
-        est = EstimateWithError(value=mean, std_error=float(np.sqrt(var / n)), n=n)
-        outside = sum(c for v, c in counts.items() if abs(v) > 2)
-        c = [correlation(ms.delta) for ms in settings]
-        return ChshEstimate(
-            estimate=est,
-            analytic=float(c[0] + c[1] + c[2] - c[3]),
-            out_of_range_fraction=outside / n,
-            per_trial_counts=counts,
-        )
+    def tally_block(rng, block, count):
+        omega = _draw_checked(rng, count, settings, n_index, block)
+        hist = np.zeros(9, dtype=np.int64)
+        for lo in range(0, count, CHUNK):
+            o = omega[lo:lo + CHUNK]
+            b = _b_positive(o, column, n_index).view(np.int8)
+            # s_a * (s1 + s2 + s3 - s4) with s = 2 [B = +1] - 1
+            x = 2 * (b[0] + b[1] + b[2] - b[3]) - 2
+            x = np.where(o >= 0.0, x, -x)
+            hist += np.bincount(x + 4, minlength=9)
+        return hist
 
-    estimates = []
-    for k, rel in enumerate(orientations):
-        # fresh trials per orientation: its own range of block indices
-        ms = MeasurementSetting(delta_omega=rel, phi=phi, n=n_index)
-        tallies = [t for (t,) in _tallies(config, [ms], first=k * config.blocks)]
-        estimates.append(sum(tallies, EMPTY_TALLY).estimate())
-    signs = (1.0, 1.0, 1.0, -1.0)
-    return ChshEstimate(
-        estimate=_signed_sum(estimates, config.trials),
-        analytic=float(
-            sum(sign * correlation(wrap_angle(rel - phi)) for sign, rel in zip(signs, orientations))
-        ),
-        out_of_range_fraction=None,
-        per_trial_counts=None,
-    )
+    hist = sum(_map_blocks(config, tally_block))
+    counts = {v - 4: int(c) for v, c in enumerate(hist) if c}
+    n = sum(counts.values())
+    total = sum(v * c for v, c in counts.items())
+    total_sq = sum(v * v * c for v, c in counts.items())
+    mean = total / n
+    var = max(0.0, total_sq / n - mean * mean)
+    est = EstimateWithError(value=mean, std_error=float(np.sqrt(var / n)), n=n)
+    outside = sum(c for v, c in counts.items() if abs(v) > 2)
+    return ChshEstimate(est, analytic, out_of_range_fraction=outside / n, per_trial_counts=counts)
 
 
 @dataclass(frozen=True)

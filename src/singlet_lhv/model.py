@@ -68,10 +68,7 @@ def wrap_angle(x):
     would absorb magnitudes below one ulp of pi).  Just below -pi the mod
     form rounds to +pi, which is moved to -pi.
     """
-    arr = _as_float_array(x)
-    out = np.where((arr >= -np.pi) & (arr < np.pi), arr, np.mod(arr + np.pi, TWO_PI) - np.pi)
-    out[out == np.pi] = -np.pi
-    return _maybe_scalar(out, x)
+    return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
 
 
 def _wrap(x):
@@ -80,13 +77,10 @@ def _wrap(x):
     flat = x.reshape(-1)
     out = np.flatnonzero((flat < -np.pi) | (flat >= np.pi))
     if out.size:
-        flat[out] = np.mod(flat[out] + np.pi, TWO_PI) - np.pi
+        w = np.mod(flat[out] + np.pi, TWO_PI) - np.pi
+        w[w == np.pi] = -np.pi
+        flat[out] = w
     return flat.reshape(x.shape)
-
-
-def _unpi(x):
-    """wrap_angle of an already wrapped angle: only +pi moves, to -pi."""
-    return np.where(x == np.pi, -np.pi, x) if np.any(x == np.pi) else x
 
 
 def circle_distance(a, b):
@@ -130,16 +124,16 @@ def _branch_arg(o, d):
 
 
 def _transform(o, d):
-    """circle_transform of wrapped arrays, unchecked: the arccos, signed by branch_sign."""
+    """circle_transform of wrapped arrays, unchecked: the arccos signed by branch_sign, never +pi."""
     rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
-    return _unpi(np.where(rel >= 0.0, a, -a))
+    return np.where((rel >= 0.0) & (a < np.pi), a, -a)
 
 
 def _transform_n(o, d, n):
     """circle_transform_n of finite arrays for n > 1, unchecked."""
     no, nd = n * o, n * d
     linear_n = _wrap(no - nd)
-    inner = _transform(_unpi(_wrap(no)), _unpi(_wrap(nd)))
+    inner = _transform(_wrap(no), _wrap(nd))
     return _wrap(_wrap(o - d) + _wrap(inner - linear_n) / n)
 
 

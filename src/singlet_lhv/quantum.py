@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytic import JointDistribution
-from .model import wrap_angle
+from .model import _as_float_array, wrap_angle
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -216,16 +216,16 @@ def _unitary_exp(hamiltonian, t):
 
 
 def heisenberg_evolve(op, hamiltonian, t) -> np.ndarray:
-    """exp(+i H t) op exp(-i H t); requires a Hermitian hamiltonian."""
+    """exp(+i H t) op exp(-i H t); requires a Hermitian hamiltonian and a finite t."""
     h = np.asarray(hamiltonian, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("hamiltonian is not Hermitian")
     op = np.asarray(op, dtype=complex)
     if op.shape != h.shape:
         raise ValueError(f"operator shape {op.shape} does not match hamiltonian {h.shape}")
-    u = _unitary_exp(h, float(t))
+    u = _unitary_exp(h, float(_as_float_array(t, "time")))
     defect = float(np.abs(u @ u.conj().T - np.eye(h.shape[0])).max())
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise ArithmeticError(f"propagator unitarity defect {defect:.3e}")
     return u.conj().T @ op @ u
 

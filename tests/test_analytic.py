@@ -13,6 +13,7 @@ from singlet_lhv.analytic import (
     JointDistribution,
     bell_inequality_sides,
     bell_violation_map,
+    chsh_expectation,
     chsh_grid_max,
     chsh_value,
     correlation,
@@ -21,6 +22,7 @@ from singlet_lhv.analytic import (
     linear_model_correlation,
     transform_curve,
 )
+from singlet_lhv.hidden_values import coarse_partition
 from singlet_lhv.model import orientation_density, wrap_angle
 
 deltas = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
@@ -128,6 +130,44 @@ def test_chsh_value_matches_term_sum():
             - correlation(wrap_angle(c - a))
         )
         assert chsh_value(s) == pytest.approx(float(direct), abs=1e-14)
+
+
+@given(st.floats(min_value=-1e3, max_value=1e3))
+def test_correlation_at_n1_is_minus_cos(delta):
+    assert correlation(delta) == -np.cos(wrap_angle(delta))
+    assert correlation(delta, 1) == -np.cos(wrap_angle(delta))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
+def test_correlation_is_the_arc_measure_expectation(n):
+    # E_n = sum of s_a s_b times the |sin(n w)|/4 mass of each outcome subset
+    grid = np.linspace(-math.pi, math.pi, 400)
+    for delta in grid:
+        want = sum(sub.s_a * sub.s_b * sub.measure(n) for sub in coarse_partition(delta))
+        assert abs(correlation(delta, n) - want) <= 1e-12
+    assert correlation(grid, n).tolist() == [correlation(d, n) for d in grid]
+
+
+def test_correlation_rejects_a_bad_density_index():
+    for n in (0, -2, 1.5):
+        with pytest.raises(ValueError):
+            correlation(0.3, n)
+
+
+@given(deltas, deltas, deltas, deltas)
+def test_relative_orientations_shift_by_the_phase(a, b, c, phi):
+    s = ChshSetting(a, b, c)
+    want = [wrap_angle(r - phi) for r in s.relative_orientations()]
+    assert s.relative_orientations(phi).tolist() == want
+
+
+@given(deltas, deltas, deltas, deltas, st.integers(1, 40))
+def test_chsh_value_is_the_magnitude_of_the_expectation(a, b, c, phi, n):
+    s = ChshSetting(a, b, c)
+    r = s.relative_orientations(phi)
+    e = chsh_expectation(s, phi, n)
+    assert e == correlation(r[0], n) + correlation(r[1], n) + correlation(r[2], n) - correlation(r[3], n)
+    assert chsh_value(s, phi, n) == abs(e)
 
 
 def test_chsh_grid_scan_attains_quantum_bound():

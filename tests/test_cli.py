@@ -136,6 +136,42 @@ def test_chsh_json(capsys):
     assert any(abs(int(v)) > 2 for v in counts)
 
 
+README_CHSH = ("--d-omega", "1.5707963", "--d-omega-p", "0.78539816", "--d-omega-pp=-0.78539816")
+
+
+@pytest.mark.parametrize("independent", [False, True], ids=["gauge", "orthodox"])
+@pytest.mark.parametrize("n", ["1", "7"])
+@pytest.mark.parametrize(
+    "angles",
+    [README_CHSH + ("--phi", "0.5"),
+     ("--d-omega", "1.1", "--d-omega-p=-0.4", "--d-omega-pp", "2.9", "--phi=-2.2")],
+    ids=["readme-phi", "skew-phi"],
+)
+def test_chsh_analytic_abs_is_the_magnitude_of_analytic(capsys, angles, n, independent):
+    argv = ["chsh", *angles, "--n", n, "--trials", "1000", "--format", "json"]
+    code, out = run_cli(capsys, *argv, *(["--independent"] if independent else []))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["analytic_abs"] == abs(payload["analytic"])
+
+
+def test_chsh_at_n7_agrees_with_its_exact_expectation(capsys):
+    code, out = run_cli(capsys, "chsh", *README_CHSH, "--n", "7", "--trials", "1000000",
+                        "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["analytic"] == pytest.approx(-1.8817, abs=1e-4)
+    assert abs(payload["estimate"] - payload["analytic"]) <= 4 * payload["std_error"]
+
+
+def test_correlate_at_n3_agrees_with_its_exact_expectation(capsys):
+    code, out = run_cli(capsys, "correlate", "--delta-grid=-2.5,-1,0.4,1.3,3", "--n", "3",
+                        "--trials", "400000", "--format", "json")
+    assert code == EXIT_OK
+    for delta, estimate, std_error, analytic, _ in json.loads(out)["rows"]:
+        assert abs(estimate - analytic) <= max(4 * std_error, 1e-12)
+
+
 def test_weak_values_json(capsys):
     code, out = run_cli(
         capsys, "weak-values", "--phi", "0", "--delta-omega", str(math.pi / 2),
@@ -356,6 +392,23 @@ def test_paths_malformed_operator_file_is_usage_error(tmp_path, capsys, hamilton
     ops.write_text(json.dumps(operators))
     code = main(["paths", "--omega-b", "1.0", "--hamiltonian", str(ham),
                  "--operators", str(ops), "--times", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [("0,nan", "non-finite time"), ("0,inf", "non-finite time"), (",", "--times")],
+    ids=["nan", "inf", "empty"],
+)
+def test_paths_bad_times_is_usage_error(tmp_path, capsys, times, message):
+    ham, ops = tmp_path / "h.json", tmp_path / "ops.json"
+    ham.write_text(json.dumps(_PAULI_Z_SPEC))
+    ops.write_text(json.dumps({"sz": _PAULI_Z_SPEC}))
+    code = main(["paths", "--omega-b", "1.0", "--hamiltonian", str(ham),
+                 "--operators", str(ops), "--times", times])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.err.startswith("usage error:") and message in captured.err

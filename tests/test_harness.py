@@ -3,11 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlet_lhv import harness
 from singlet_lhv.analytic import (
     OPTIMAL_CHSH_SETTING,
     ChshSetting,
+    chsh_expectation,
     chsh_value,
     correlation,
     joint_probabilities,
@@ -154,6 +157,18 @@ def test_chsh_agrees_with_analytic_at_three_settings():
         result = estimate_chsh(setting, config(0.0, trials=300_000, seed=23))
         tol = max(4 * result.estimate.std_error, 1e-12)
         assert abs(result.estimate.value) == pytest.approx(chsh_value(setting), abs=tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=4.0), st.integers(1, 12))
+def test_both_chsh_estimators_report_the_same_analytic(phi, n):
+    setting = ChshSetting(1.1, -0.4, 2.9)
+    ms = MeasurementSetting(delta_omega=0.0, phi=phi, n=n)
+    gauge, orthodox = (
+        estimate_chsh(setting, RunConfig(trials=300, seed=2, setting=ms, gauge_fixed=g))
+        for g in (True, False)
+    )
+    assert gauge.analytic == orthodox.analytic == float(chsh_expectation(setting, ms.phi, n))
 
 
 def test_chsh_orthodox_estimator():

@@ -22,6 +22,7 @@ from singlet_lhv.model import (
     orientation_density,
     response,
     responses_for,
+    _wrap,
     sample_orientations,
     wrap_angle,
 )
@@ -76,6 +77,60 @@ def test_wrap_just_below_minus_pi_stays_in_range():
 def test_wrap_huge_magnitudes_stay_in_range():
     for x in (1e12, -1e12, 1e300, -1e300):
         assert -math.pi <= wrap_angle(x) < math.pi
+
+
+def _mod_form(x):
+    """Reference wrap: np.mod on every out-of-range element, then +pi moved to -pi."""
+    x = np.asarray(x, dtype=float)
+    out = np.where((x >= -np.pi) & (x < np.pi), x, np.mod(x + np.pi, 2 * np.pi) - np.pi)
+    out[out == np.pi] = -np.pi
+    return out
+
+
+def _ulps_from(x, steps):
+    x = np.float64(x)
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def _assert_wraps_like_the_mod_form(values):
+    x = np.array(values, dtype=float)
+    want = _mod_form(x).tobytes()
+    assert wrap_angle(x).tobytes() == want
+    assert np.array([wrap_angle(v) for v in x.tolist()]).tobytes() == want
+    assert _wrap(x.copy()).tobytes() == want
+
+
+def test_wrap_equals_the_mod_form_near_every_multiple_of_pi():
+    # every k pi for |k| <= 17, and each of the 50 doubles on either side
+    _assert_wraps_like_the_mod_form(
+        [_ulps_from(k * math.pi, j) for k in range(-17, 18) for j in range(-50, 51)]
+    )
+
+
+@given(st.lists(
+    st.one_of(
+        st.floats(min_value=-17 * math.pi, max_value=17 * math.pi),
+        st.builds(lambda n, w: n * w, st.integers(1, 16), wrapped),
+        st.builds(_ulps_from, st.integers(-17, 17).map(lambda k: k * math.pi), st.integers(-50, 50)),
+    ),
+    min_size=1, max_size=16,
+))
+def test_wrap_equals_the_mod_form_bit_for_bit(values):
+    _assert_wraps_like_the_mod_form(values)
+
+
+def test_transform_never_returns_plus_pi():
+    # arccos gives pi just below a cut, on the branch whose sign is +
+    below_pi = np.nextafter(math.pi, 0.0)
+    assert circle_transform(below_pi, 0.0) == -math.pi
+    d = np.linspace(-math.pi, math.pi, 2001, endpoint=False)
+    o = np.nextafter(wrap_angle(d - math.pi), -math.inf)
+    o = np.where(o < -math.pi, below_pi, o)
+    for n in (1, 2, 7):
+        t = circle_transform_n(o, d, n)
+        assert np.all((t >= -math.pi) & (t < math.pi))
 
 
 # ------------------------------------------------------- branch sign
