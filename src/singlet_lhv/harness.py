@@ -3,10 +3,12 @@
 A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
-(``block_generator``, the only seeding rule).  Inside a block the
-outcome kernel and the tally run over chunks of trials; tallies are
-exact integers.  Neither the chunk size nor the stream count changes a
-result, and memory stays O(BLOCK x streams) whatever the trial count.
+(``block_generator``, the only seeding rule).  Inside a block every
+command tallies one joint-outcome histogram of exact integer counts in
+CHUNK-trial steps (``_joint_counts``), and every estimate comes from one
+moment rule (``EstimateWithError.of_counts``).  Neither the chunk size
+nor the stream count changes a result, and memory stays O(BLOCK x
+streams) whatever the trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
 same on every platform.
 
@@ -41,16 +43,15 @@ MAX_TALLY_WORKERS = 8
 BLOCK = 250_000
 # Trials per kernel step of ROWS settings.  BLOCK / CHUNK near 16 keeps a step's
 # temporaries under glibc's trim threshold, which follows the largest freed
-# block array; lower ratios ran the scan 1.7x slower on 2 cores.  WZ's
-# one-setting steps take 2 CHUNK trials, which ran its n = 7 run 8% faster.
+# block array; lower ratios ran the scan 1.7x slower on 2 cores.
 CHUNK = 1 << 14
 # Leading trials of block 0 checked against the public transform.  The
 # kernel's correctness rests on tests/test_kernel.py; this check stays only
-# while perfbench's traced frame metrics need these public calls (ROADMAP 6).
+# while perfbench's traced frame metrics need these public calls (ROADMAP item 2).
 SPOT = 256
 # Settings evaluated together on a chunk; they share cos omega.  On the
 # 25-point scan, 4 rows ran faster than 1, 2, 8 or all 25 (cache-sized
-# temporaries).
+# temporaries).  At most 7: a trial's joint-histogram bin is a uint8.
 ROWS = 4
 
 
@@ -89,9 +90,12 @@ class EstimateWithError:
     n: int
 
     @classmethod
-    def for_product_mean(cls, product_sum: int, n: int) -> "EstimateWithError":
-        value = product_sum / n
-        return cls(value=value, std_error=float(np.sqrt(max(0.0, 1.0 - value * value) / n)), n=n)
+    def of_counts(cls, counts: dict[int, int]) -> "EstimateWithError":
+        """Mean of an integer variable from its exact {value: count} histogram."""
+        n = sum(counts.values())
+        mean = sum(v * c for v, c in counts.items()) / n
+        second = sum(v * v * c for v, c in counts.items()) / n
+        return cls(value=mean, std_error=float(np.sqrt(max(0.0, second - mean * mean) / n)), n=n)
 
 
 def block_generator(seed, block) -> np.random.Generator:
@@ -146,13 +150,9 @@ class TrialTally:
             n_mm=self.n_mm + other.n_mm,
         )
 
-    @property
-    def product_sum(self) -> int:
-        return self.n_pp + self.n_mm - self.n_pm - self.n_mp
-
     def estimate(self) -> EstimateWithError:
         """Mean of the outcome product s_a * s_b with its standard error."""
-        return EstimateWithError.for_product_mean(self.product_sum, self.n)
+        return EstimateWithError.of_counts({1: self.n_pp + self.n_mm, -1: self.n_pm + self.n_mp})
 
     @property
     def discordant(self) -> int:
@@ -196,29 +196,47 @@ def _signed_sum(estimates, n) -> EstimateWithError:
     return EstimateWithError(value=value, std_error=float(np.sqrt(variance)), n=n)
 
 
-def _tallies(config: RunConfig, settings, first=0) -> list[list[TrialTally]]:
-    """Per stream, one tally per setting: the settings share the run's sample set."""
+def _joint_counts(omega, column, n):
+    """Joint-outcome histogram of omega's trials at a column of at most ROWS settings.
+
+    Bin a + 2 b_0 + 4 b_1 + ..., with a = [A = +1] and b_j = [B = +1] at
+    row j: 2 << ROWS bins of exact counts.  The only chunk loop: each step
+    runs the outcome kernel on CHUNK trials.
+    """
+    hist = np.zeros(2 << ROWS, dtype=np.int64)
+    for lo in range(0, omega.size, CHUNK):
+        o = omega[lo:lo + CHUNK]
+        code = (o >= 0.0).view(np.uint8)
+        for j, pos_b in enumerate(_b_positive(o, column, n), start=1):
+            code += pos_b.view(np.uint8) << j
+        hist += np.bincount(code, minlength=hist.size)
+    return hist
+
+
+def _tally(joint, row=0) -> TrialTally:
+    """Tally of one row of a _joint_counts histogram: its marginal counts [b, a]."""
+    (mm, pm), (mp, pp) = joint.reshape(-1, 2, 1 << row, 2).sum(axis=(0, 2)).tolist()
+    return TrialTally(mm + pm + mp + pp, pp, pm, mp, mm)
+
+
+def _joints(config: RunConfig, settings, first=0):
+    """Per stream, the _joint_counts of each group of ROWS settings, summed over its blocks."""
     n_index = config.setting.n
     column = np.array([[ms.delta] for ms in settings])
 
     def tally_block(rng, block, count):
         omega = _draw_checked(rng, count, settings, n_index, block)
-        # rows: trials, A = +1, both +1, B = +1; one column per setting
-        out = np.zeros((4, len(settings)), dtype=np.int64)
-        out[0] = count
-        for lo in range(0, count, CHUNK):
-            o = omega[lo:lo + CHUNK]
-            pos_a = o >= 0.0
-            out[1] += np.count_nonzero(pos_a)
-            for i in range(0, len(settings), ROWS):
-                pos_b = _b_positive(o, column[i:i + ROWS], n_index)
-                out[2, i:i + ROWS] += np.count_nonzero(pos_a & pos_b, axis=1)
-                out[3, i:i + ROWS] += np.count_nonzero(pos_b, axis=1)
-        return out
+        groups = range(0, len(settings), ROWS)
+        return np.array([_joint_counts(omega, column[i:i + ROWS], n_index) for i in groups])
 
+    return _map_blocks(config, tally_block, first)
+
+
+def _tallies(config: RunConfig, settings, first=0) -> list[list[TrialTally]]:
+    """Per stream, one tally per setting: the settings share the run's sample set."""
     return [
-        [TrialTally(n, pp, n_a - pp, b - pp, n - n_a - b + pp) for n, n_a, pp, b in part.T.tolist()]
-        for part in _map_blocks(config, tally_block, first)
+        [_tally(part[i // ROWS], i % ROWS) for i in range(len(settings))]
+        for part in _joints(config, settings, first)
     ]
 
 
@@ -295,30 +313,16 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
         ]
         return ChshEstimate(_signed_sum(estimates, config.trials), analytic, None, None)
 
-    column = np.array([[ms.delta] for ms in settings])
-
-    def tally_block(rng, block, count):
-        omega = _draw_checked(rng, count, settings, n_index, block)
-        hist = np.zeros(9, dtype=np.int64)
-        for lo in range(0, count, CHUNK):
-            o = omega[lo:lo + CHUNK]
-            b = _b_positive(o, column, n_index).view(np.int8)
-            # s_a * (s1 + s2 + s3 - s4) with s = 2 [B = +1] - 1
-            x = 2 * (b[0] + b[1] + b[2] - b[3]) - 2
-            x = np.where(o >= 0.0, x, -x)
-            hist += np.bincount(x + 4, minlength=9)
-        return hist
-
-    hist = sum(_map_blocks(config, tally_block))
-    counts = {v - 4: int(c) for v, c in enumerate(hist) if c}
-    n = sum(counts.values())
-    total = sum(v * c for v, c in counts.items())
-    total_sq = sum(v * v * c for v, c in counts.items())
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    est = EstimateWithError(value=mean, std_error=float(np.sqrt(var / n)), n=n)
-    outside = sum(c for v, c in counts.items() if abs(v) > 2)
-    return ChshEstimate(est, analytic, out_of_range_fraction=outside / n, per_trial_counts=counts)
+    # per joint bin: s_a * (s1 + s2 + s3 - s4), with s = +1 where the bin's bit is set
+    counts = {}
+    for i, c in enumerate(sum(_joints(config, settings))[0].tolist()):
+        s = [2 * (i >> j & 1) - 1 for j in range(5)]
+        x = s[0] * (s[1] + s[2] + s[3] - s[4])
+        counts[x] = counts.get(x, 0) + c
+    counts = {x: c for x, c in sorted(counts.items()) if c}
+    est = EstimateWithError.of_counts(counts)
+    outside = sum(c for x, c in counts.items() if abs(x) > 2)
+    return ChshEstimate(est, analytic, out_of_range_fraction=outside / est.n, per_trial_counts=counts)
 
 
 @dataclass(frozen=True)
@@ -358,13 +362,16 @@ def run_weihs_zeilinger(
     designated 2x2 sub-grid (the first two sorted angles of each set;
     sign convention E(a,b) + E(a,b') + E(a',b) - E(a',b')).
 
-    ``keep_records`` retains the first that many trial records of the
-    run, in trial order (for dump/inspection; tallies use all trials).
+    Choices equal after wrapping count once.  ``keep_records`` (>= 0)
+    retains the first that many trial records of the run, in trial order
+    (for dump/inspection; tallies use all trials).
     """
-    alphas = sorted(float(wrap_angle(a)) for a in set(alpha_choices))
-    betas = sorted(float(wrap_angle(b)) for b in set(beta_choices))
+    alphas = sorted({float(wrap_angle(a)) for a in alpha_choices})
+    betas = sorted({float(wrap_angle(b)) for b in beta_choices})
     if not alphas or not betas:
         raise ValueError("modulator choice sets must be non-empty")
+    if keep_records < 0:
+        raise ValueError(f"keep_records must be >= 0, got {keep_records}")
     n_index = config.setting.n
     # effective parameter per (alpha, beta) pair, pair index i * len(betas) + j
     offset = config.setting.delta_omega - wrap_angle(base_phi)
@@ -385,20 +392,15 @@ def run_weihs_zeilinger(
                 WZTrialRecord(alphas[p // len(betas)], betas[p % len(betas)], response(w), int(s), w)
                 for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
             ]
-        hist = np.zeros(4 * pair_delta.size, dtype=np.int64)
-        for lo in range(0, count, 2 * CHUNK):
-            o, p = omega[lo:lo + 2 * CHUNK], pair[lo:lo + 2 * CHUNK]
-            pos_a, pos_b = o >= 0.0, _b_positive(o, pair_delta[p], n_index)
-            hist += np.bincount(4 * p + 2 * pos_a + pos_b, minlength=hist.size)
-        return hist
+        # each pair's trials at its fixed setting, grouped by one radix sort, not a mask per pair
+        grouped = omega[np.argsort(pair.astype(np.min_scalar_type(pair_delta.size)), kind="stable")]
+        edges = np.cumsum(np.bincount(pair, minlength=pair_delta.size))[:-1]
+        groups = zip(np.split(grouped, edges), pair_delta[:, None, None])
+        return np.array([_joint_counts(o, column, n_index) for o, column in groups])
 
-    # per pair: counts of (s_a, s_b) = (-, -), (-, +), (+, -), (+, +)
-    counts = sum(_map_blocks(config, tally_block)).reshape(-1, 4)
+    counts = sum(_map_blocks(config, tally_block))
     pairs = [(a, b) for a in alphas for b in betas]
-    pair_tallies = {
-        pair: TrialTally(int(c.sum()), int(c[3]), int(c[2]), int(c[1]), int(c[0]))
-        for pair, c in zip(pairs, counts)
-    }
+    pair_tallies = {pair: _tally(c) for pair, c in zip(pairs, counts)}
 
     chsh_pairs = tuple((a, b) for a in alphas[:2] for b in betas[:2])
     # E(a,b) + E(a,b') + E(a',b) - E(a',b'), or E(a,b) alone without a 2x2 sub-grid

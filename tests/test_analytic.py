@@ -194,6 +194,56 @@ def test_chsh_grid_max_equals_the_loop_over_settings(points):
     assert chsh_grid_max(points) == (best, best_setting)
 
 
+# sup over delta of |E_n - sawtooth| is exactly this constant over n
+SAWTOOTH_GAP = math.cos(math.asin(2 / math.pi)) + (2 / math.pi) * math.asin(2 / math.pi) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_family_reaches_the_sawtooth_at_rate_c_over_n(n):
+    delta = np.linspace(-math.pi, math.pi, 2_000_001)
+    gap = np.max(np.abs(correlation(delta, n) - (2 * np.abs(delta) / math.pi - 1)))
+    # a grid maximum stays below the supremum; this grid came within 6e-11 of it at n = 16
+    assert -1e-13 < SAWTOOTH_GAP - n * gap < 1e-10
+
+
+def degree_grid_chsh_max(n, step=1):
+    """Max |chsh_expectation| at density index n on chsh_grid_max's axes in `step`-degree steps.
+
+    The CHSH sum is f(d, d') + g(d, d'') with f = E(d') + E(d' - d) and
+    g = E(d'') - E(d'' - d), so at each d the maximum over (d', d'') adds two
+    one-dimensional extremes.  Returns (maximum, its ChshSetting).
+    """
+    base = np.radians(np.arange(0, 181, step))
+    d, e = np.meshgrid(base, base, indexing="ij")
+    f = correlation(e, n) + correlation(wrap_angle(e - d), n)
+    g = correlation(-e, n) - correlation(wrap_angle(-e - d), n)
+    rows = np.arange(base.size)
+    found = []
+    for sign in (1.0, -1.0):
+        j, k = np.argmax(sign * f, axis=1), np.argmax(sign * g, axis=1)
+        total = sign * (f[rows, j] + g[rows, k])
+        i = int(np.argmax(total))
+        found.append((float(total[i]), ChshSetting(base[i], base[j[i]], -base[k[i]])))
+    return max(found, key=lambda item: item[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 32])
+def test_chsh_maximum_on_a_degree_grid_is_2_plus_2_root2_minus_1_over_n(n):
+    # every finite n violates CHSH, by an excess falling as 1/n
+    bound = 2 + 2 * (math.sqrt(2) - 1) / n
+    best, setting = degree_grid_chsh_max(n)
+    assert bound - 5e-4 < best <= bound + 1e-12
+    assert abs(chsh_expectation(setting, 0.0, n)) == pytest.approx(best, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_degree_grid_chsh_max_equals_the_full_grid_scan(n):
+    base = np.radians(np.arange(0, 181, 4))
+    grid = ChshSetting(*np.meshgrid(base, base, -base, indexing="ij"))
+    full = np.max(np.abs(chsh_expectation(grid, 0.0, n)))
+    assert degree_grid_chsh_max(n, step=4)[0] == pytest.approx(full, abs=1e-14)
+
+
 def test_linear_law_curve_examples():
     omegas, linear = linear_law_curve(0.0, 64)
     np.testing.assert_allclose(linear, omegas, atol=1e-15)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -255,6 +256,29 @@ def test_wz_records_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "alpha_rad,beta_rad,s_a,s_b"
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("alpha_set", ["0,360", "180,-180"])
+def test_wz_angles_equal_after_wrapping_count_once(capsys, alpha_set):
+    code, out = run_cli(
+        capsys, "wz", "--alpha-set", alpha_set, "--beta-set", "45,-45", "--degrees",
+        "--trials", "20000",
+    )
+    assert code == EXIT_OK
+    rows = list(csv.reader(out.strip().splitlines()[2:]))
+    pair_rows = [row for row in rows if row[0] != "chsh"]
+    assert len(pair_rows) == 2
+    assert sum(int(row[4]) for row in pair_rows) == 20000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wz_negative_dump_records_is_usage_error(capsys, fmt):
+    code = main(["wz", "--alpha-set", "0,1", "--beta-set", "0.5,-0.5", "--trials", "1000",
+                 "--dump-records", "-3", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and "keep_records" in captured.err
+    assert captured.out == ""
 
 
 # ----------------------------------------------------- reproducibility

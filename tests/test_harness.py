@@ -54,10 +54,18 @@ def test_run_config_validation():
 
 
 def test_estimate_with_error_formula():
-    est = EstimateWithError.for_product_mean(product_sum=0, n=100)
+    est = EstimateWithError.of_counts({1: 50, -1: 50})
     assert est.std_error == pytest.approx(0.1)
-    est = EstimateWithError.for_product_mean(product_sum=-100, n=100)
+    est = EstimateWithError.of_counts({-1: 100})
     assert est.value == -1.0 and est.std_error == 0.0
+
+
+def test_estimate_of_counts_is_the_sample_mean_with_its_standard_error():
+    values = np.repeat([-4, -2, 0, 2, 4], [3, 11, 20, 9, 7])
+    est = EstimateWithError.of_counts({-4: 3, -2: 11, 0: 20, 2: 9, 4: 7})
+    assert est.n == values.size
+    assert est.value == pytest.approx(values.mean(), abs=1e-15)
+    assert est.std_error == pytest.approx(values.std() / math.sqrt(values.size), rel=1e-12)
 
 
 def test_tally_merge_is_order_invariant():

@@ -87,6 +87,20 @@ def test_kernel_takes_a_column_of_settings():
     np.testing.assert_array_equal(_b_positive(omega, column, 7), expected)
 
 
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("rows", [1, 3, harness.ROWS])
+def test_joint_counts_bin_the_public_outcomes(monkeypatch, n, rows):
+    monkeypatch.setattr(harness, "CHUNK", 1_000)
+    drawn = sample_orientations(np.random.Generator(np.random.Philox(key=6)), 4_321, n)
+    omega = np.concatenate([drawn, cut_points(0.4, n)])
+    column = np.array([[-2.5], [0.4], [1.9], [-math.pi]])[:rows]
+    public = [MeasurementSetting.from_delta(d, n=n) for d in column[:, 0]]
+    bits = [response(omega) > 0] + [response(b_frame_coordinate(omega, ms)) > 0 for ms in public]
+    code = sum(b.astype(int) << j for j, b in enumerate(bits))
+    joint = harness._joint_counts(omega, column, n)
+    np.testing.assert_array_equal(joint, np.bincount(code, minlength=2 << harness.ROWS))
+
+
 def on_arc(omega, delta):
     """Arc membership: omega in [delta - pi, delta) on the circle."""
     if delta >= 0.0:
