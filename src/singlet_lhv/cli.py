@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -207,6 +208,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def _cmd_transform_curve(args, header):
     omega, transformed, linear = transform_curve(
         _angle(args.delta, args.degrees), args.grid_points, args.n
@@ -398,9 +405,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     dests = vars(args).keys()

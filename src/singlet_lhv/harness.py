@@ -406,7 +406,7 @@ def run_weihs_zeilinger(
     # E(a,b) + E(a,b') + E(a',b) - E(a',b'), or E(a,b) alone without a 2x2 sub-grid
     used = chsh_pairs if len(chsh_pairs) == 4 else chsh_pairs[:1]
     empty = [pair for pair in used if pair_tallies[pair].n == 0]
-    if len(used) == 4 and empty:
+    if empty:
         raise ValueError(f"no trials observed for modulator pair {empty[0]}")
     estimates = [pair_tallies[pair].estimate() for pair in used]
     return WZResult(

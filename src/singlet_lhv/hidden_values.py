@@ -40,10 +40,10 @@ from typing import Callable
 from .model import orientation_cdf, wrap_angle
 from .quantum import (
     OUTCOME_PAIRS,
-    PostSelection,
     bell_state,
     polarization_operator,
     polarization_operator_b,
+    post_selection_bras,
     weak_value,
 )
 
@@ -363,18 +363,19 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
     psi = bell_state(phi)
     omega_a_ref = 0.0
     omega_b_ref = wrap_angle(omega_a_ref + d_omega)
-
+    bras = post_selection_bras(omega_a_ref, omega_b_ref)
     ops = {
         "A": [polarization_operator(omega_a_ref, axis) for axis in OPERATOR_QUANTITIES],
         "B": [polarization_operator_b(omega_b_ref, axis) for axis in OPERATOR_QUANTITIES],
     }
+    sides = {"A": partition, "B": b_coarse_partition(delta)}
     rows = {"A": [], "B": []}
-    for subset, b_subset in zip(partition, b_coarse_partition(delta)):
-        post = PostSelection(omega_a_ref, subset.s_a, omega_b_ref, subset.s_b)
-        for side, averaged in (("A", subset), ("B", b_subset)):
-            averages = subset_averages(averaged)
-            oracle = weak_value(psi, post, ops[side], side)
-            for axis, value in zip(OPERATOR_QUANTITIES, oracle):
+    for side, subsets in sides.items():
+        # one call per side: the k-th row belongs to the bra of OUTCOME_PAIRS[k]
+        oracle = dict(zip(OUTCOME_PAIRS, weak_value(psi, bras, ops[side], side)))
+        for subset in subsets:
+            averages = subset_averages(subset)
+            for axis, value in zip(OPERATOR_QUANTITIES, oracle[subset.s_a, subset.s_b]):
                 rows[side].append(
                     MatchRow(
                         s_a=subset.s_a,

@@ -66,8 +66,18 @@ def wrap_angle(x):
 
     Values already in range pass through bit-exactly (the mod form
     would absorb magnitudes below one ulp of pi).  Just below -pi the mod
-    form rounds to +pi, which is moved to -pi.
+    form rounds to +pi, which is moved to -pi.  A Python or numpy scalar
+    takes the same steps in ``math`` and returns a float: Python's float
+    ``%`` and ``np.mod`` share one fmod-then-adjust rule, so the bits agree.
     """
+    if isinstance(x, (float, int, np.floating, np.integer)):
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError("non-finite angle rejected")
+        if -math.pi <= x < math.pi:
+            return x
+        w = (x + math.pi) % TWO_PI - math.pi
+        return -math.pi if w == math.pi else w
     return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
 
 

@@ -50,6 +50,11 @@ def bell_state(phi) -> np.ndarray:
     return np.array([0.0, 1.0, -np.exp(-1j * phi), 0.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _in_plane(w) -> np.ndarray:
+    """cos(w) X + sin(w) Y for a wrapped angle w."""
+    return np.cos(w) * PAULI_X + np.sin(w) * PAULI_Y
+
+
 def polarization_operator(omega_ref, axis: str) -> np.ndarray:
     """Polarization component of particle A along the requested axis.
 
@@ -59,9 +64,9 @@ def polarization_operator(omega_ref, axis: str) -> np.ndarray:
     """
     w = wrap_angle(omega_ref)
     if axis == "in-plane":
-        return np.cos(w) * PAULI_X + np.sin(w) * PAULI_Y
+        return _in_plane(w)
     if axis == "orthogonal-in-plane":
-        return polarization_operator(w + np.pi / 2.0, "in-plane")
+        return _in_plane(wrap_angle(w + np.pi / 2.0))
     if axis == "flight":
         return PAULI_Z.copy()
     raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -77,9 +82,9 @@ def polarization_operator_b(omega_ref, axis: str) -> np.ndarray:
     """
     w = wrap_angle(omega_ref)
     if axis == "in-plane":
-        return polarization_operator(w, "in-plane")
+        return _in_plane(w)
     if axis == "orthogonal-in-plane":
-        return polarization_operator(w - np.pi / 2.0, "in-plane")
+        return _in_plane(wrap_angle(w - np.pi / 2.0))
     if axis == "flight":
         return -PAULI_Z.copy()
     raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -95,12 +100,15 @@ def embed_b(op2: np.ndarray) -> np.ndarray:
     return np.kron(IDENTITY_2, op2)
 
 
+def _eigenstate(w, outcome) -> np.ndarray:
+    return np.array([1.0, outcome * np.exp(1j * w)], dtype=complex) / np.sqrt(2.0)
+
+
 def in_plane_eigenstate(omega_ref, outcome) -> np.ndarray:
     """Normalized eigenvector of the in-plane operator at omega_ref."""
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    w = wrap_angle(omega_ref)
-    return np.array([1.0, outcome * np.exp(1j * w)], dtype=complex) / np.sqrt(2.0)
+    return _eigenstate(wrap_angle(omega_ref), outcome)
 
 
 @dataclass(frozen=True)
@@ -120,15 +128,14 @@ class PostSelection:
 
     def state(self) -> np.ndarray:
         return np.kron(
-            in_plane_eigenstate(self.omega_a_ref, self.s_a),
-            in_plane_eigenstate(self.omega_b_ref, self.s_b),
+            _eigenstate(self.omega_a_ref, self.s_a), _eigenstate(self.omega_b_ref, self.s_b)
         )
 
 
 def post_selection_bras(omega_a_ref, omega_b_ref) -> np.ndarray:
     """Rows are PostSelection(omega_a_ref, s_a, omega_b_ref, s_b).state() in OUTCOME_PAIRS order."""
-    bases = [[in_plane_eigenstate(w, s) for s in (1, -1)] for w in (omega_a_ref, omega_b_ref)]
-    return np.kron(*np.array(bases))
+    angles = map(wrap_angle, (omega_a_ref, omega_b_ref))
+    return np.kron(*np.array([[_eigenstate(w, s) for s in (1, -1)] for w in angles]))
 
 
 def _amplitudes(psi, bras, ops=()):
@@ -154,13 +161,17 @@ def born_probabilities(state, omega_a_ref, omega_b_ref) -> JointDistribution:
     return JointDistribution(*(float(abs(amp) ** 2) for amp in overlaps))
 
 
-def weak_value(pre_state, post: PostSelection, op: np.ndarray, subsystem="A") -> complex | list:
+def weak_value(pre_state, post, op: np.ndarray, subsystem="A") -> complex | list:
     """Conditioned value <f|O|psi> / <f|psi> between pre- and post-selection.
 
     ``op`` may be 2x2 (lifted onto the requested subsystem) or 4x4
     (subsystem ignored), or a (k, 2, 2) or (k, 4, 4) stack, which gives the
-    list of the k single-operator values.  Raises PostSelectionOverlapError
-    when the post-selected bra is orthogonal to the prepared state.
+    list of the k single-operator values.  ``post`` is a PostSelection, or a
+    (m, 4) stack of post-selected bras such as ``post_selection_bras``; a
+    stack gives m rows, row i being what the PostSelection of bra i gives.
+    The operators are lifted once for all bras.  Raises
+    PostSelectionOverlapError when a post-selected bra is orthogonal to the
+    prepared state.
     """
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
@@ -170,13 +181,20 @@ def weak_value(pre_state, post: PostSelection, op: np.ndarray, subsystem="A") ->
         raise ValueError(f"operator shape {op.shape} unsupported")
     if op.shape[-1] == 2:
         op = embed_a(op) if subsystem == "A" else embed_b(op)
-    (den,), (nums,) = _amplitudes(psi, [post.state()], op)
-    if abs(den) <= OVERLAP_TOL:
-        raise PostSelectionOverlapError(
-            f"post-selection overlap {abs(den):.3e} below {OVERLAP_TOL:.0e}"
-        )
-    values = [num / den for num in nums]
-    return values if op.ndim == 3 else values[0]
+    single = isinstance(post, PostSelection)
+    bras = np.asarray([post.state()] if single else post, dtype=complex)
+    if bras.ndim != 2 or bras.shape[1] != 4:
+        raise ValueError(f"post-selected bra stack shape {bras.shape} unsupported")
+    overlaps, nums = _amplitudes(psi, bras, op)
+    rows = []
+    for den, row_nums in zip(overlaps, nums):
+        if abs(den) <= OVERLAP_TOL:
+            raise PostSelectionOverlapError(
+                f"post-selection overlap {abs(den):.3e} below {OVERLAP_TOL:.0e}"
+            )
+        values = [num / den for num in row_nums]
+        rows.append(values if op.ndim == 3 else values[0])
+    return rows[0] if single else rows
 
 
 def is_hermitian(op, tol=HERMITICITY_TOL) -> bool:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import singlet_lhv
+from singlet_lhv import cli
 from singlet_lhv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -279,6 +280,47 @@ def test_wz_negative_dump_records_is_usage_error(capsys, fmt):
     assert code == EXIT_USAGE
     assert captured.err.startswith("usage error:") and "keep_records" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["3", "5"])
+def test_wz_empty_pair_without_a_2x2_sub_grid_is_usage_error(capsys, seed):
+    # one alpha, so the estimate is E(a, b) of the first pair alone, and it drew no trial
+    code = main(["wz", "--alpha-set", "0", "--beta-set", "0,1,2", "--trials", "1", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == "usage error: no trials observed for modulator pair (0.0, 0.0)\n"
+    assert captured.out == ""
+
+
+# ------------------------------------------------------ parser reuse
+
+
+PARSER_SEQUENCE = (
+    ("weak-values", "--phi", "0.3"),
+    ("weak-values", "--phi", "0.3", "--delta-omega", "1.2", "--format", "json"),
+    ("correlate", "--delta-grid", "0:1:3", "--trials", "2000", "--seed", "4"),
+    ("wz", "--alpha-set", "0,1", "--beta-set", "0.5,-0.5", "--trials", "2000",
+     "--format", "json"),
+    ("--help",),
+)
+
+
+def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys):
+    def run(fresh):
+        seen = []
+        for argv in PARSER_SEQUENCE:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    parser = cli._parser()
+    shared = run(fresh=False)
+    assert cli._parser() is parser
+    assert [code for code, _, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert shared == run(fresh=True)
 
 
 # ----------------------------------------------------- reproducibility

@@ -11,6 +11,7 @@ hashing, so a version bump alone moves nothing.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,6 +54,58 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_are_pinned(capsys, name):
     argv, digest = GOLDEN[name]
+    assert main(list(argv)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count(VERSION) == 1
+    out = out.replace(VERSION, '"version": ""')
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The oracle commands (no Monte Carlo) are pinned the same way.  ``paths``
+# runs on the README's h.json and ops.json, written to the working directory.
+README_FILES = {
+    "h.json": {"dim": 2, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+    "ops.json": {
+        "sx": {"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
+        "sz": {"dim": 2, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+    },
+}
+
+ORACLE_GOLDEN = {
+    "weak-values-json": (
+        ("weak-values", "--phi", "0.37", "--delta-omega=-2.1", "--format", "json"),
+        "9225b97ba17a631c169a3a6d6d57e4656e2f7cd84be8f4bc836fa85853712d6a",
+    ),
+    "weak-values-degenerate-csv": (
+        ("weak-values", "--phi", "0.5", "--delta-omega", "0.5"),
+        "a34523b765e4f33cdcd829b4a37ef2c8cfbde5e51e95d2d3e550501c6c0a6100",
+    ),
+    "bell-check-json": (
+        ("bell-check", "--d1", "1.0471975512", "--d2", "2.0943951024", "--format", "json"),
+        "7622ae15e763a35e10d2f9dc7f2e143338b56e51563cb5865f0cf92591abcf10",
+    ),
+    "bell-check-grid": (
+        ("bell-check", "--grid", "30"),
+        "825fdcf151a858785c931cb0dba0ff51518a9ab2c3994cd22f403fb32e7af27b",
+    ),
+    "transform-curve-n7": (
+        ("transform-curve", "--delta", "1.0471975512", "--n", "7"),
+        "71bac938206dae30c118714075f6bf2caa98d8ab3dd4098b0ce75343ab872579",
+    ),
+    "paths": (
+        ("paths", "--omega-b", "1.0", "--hamiltonian", "h.json", "--operators", "ops.json",
+         "--times", "0,0.5"),
+        "e9752d37f168b148e33f6c21e83b14037286c72261e9212ca09c8133ff1f1948",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GOLDEN))
+def test_oracle_output_bytes_are_pinned(capsys, monkeypatch, tmp_path, name):
+    for file_name, payload in README_FILES.items():
+        (tmp_path / file_name).write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv, digest = ORACLE_GOLDEN[name]
     assert main(list(argv)) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count(VERSION) == 1

@@ -121,6 +121,35 @@ def test_wrap_equals_the_mod_form_bit_for_bit(values):
     _assert_wraps_like_the_mod_form(values)
 
 
+SCALAR_TYPES = (float, np.float64, np.float32, lambda x: np.array(x, dtype=float))
+
+
+@pytest.mark.parametrize("make", SCALAR_TYPES)
+def test_scalar_wrap_is_a_float_with_the_array_paths_bits(make):
+    edges = [_ulps_from(k * math.pi, j) for k in range(-5, 6) for j in (-2, -1, 0, 1, 2)]
+    for v in [*map(float, edges), 0.0, -0.0, 1e30, -1e30, 123.456]:
+        x = make(v)
+        want = _wrap(np.array([x], dtype=float))
+        got = wrap_angle(x)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", (int, np.int64, np.int32))
+def test_scalar_wrap_of_an_integer_is_a_float_with_the_array_paths_bits(make):
+    for v in (0, 1, 3, 4, -3, -4, 7, 200, -1000):
+        got = wrap_angle(make(v))
+        assert type(got) is float
+        assert np.array([got]).tobytes() == _wrap(np.array([v], dtype=float)).tobytes()
+
+
+@pytest.mark.parametrize("make", (*SCALAR_TYPES, lambda x: np.array([x])))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_wrap_rejects_every_non_finite_scalar_alike(make, bad):
+    with pytest.raises(ValueError, match="^non-finite angle rejected$"):
+        wrap_angle(make(bad))
+
+
 def test_transform_never_returns_plus_pi():
     # arccos gives pi just below a cut, on the branch whose sign is +
     below_pi = np.nextafter(math.pi, 0.0)

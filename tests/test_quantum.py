@@ -6,6 +6,7 @@ import pytest
 
 from singlet_lhv.model import wrap_angle
 from singlet_lhv.quantum import (
+    OUTCOME_PAIRS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -79,6 +80,17 @@ def test_polarization_operator_spectrum(axis):
         assert is_hermitian(op)
         evals = np.sort(np.linalg.eigvalsh(op))
         np.testing.assert_allclose(evals, [-1.0, 1.0], atol=1e-12)
+
+
+def test_orthogonal_components_are_the_in_plane_operator_a_quarter_turn_away():
+    # bit for bit, at wrapped and unwrapped reference angles
+    turns = ((polarization_operator, np.pi / 2.0), (polarization_operator_b, -np.pi / 2.0))
+    for w in np.linspace(-7.0, 7.0, 401):
+        in_plane = polarization_operator(w, "in-plane")
+        assert np.array_equal(polarization_operator_b(w, "in-plane"), in_plane)
+        for operator, turn in turns:
+            want = polarization_operator(wrap_angle(w) + turn, "in-plane")
+            assert np.array_equal(operator(w, "orthogonal-in-plane"), want)
 
 
 def test_eigenstate_property():
@@ -209,6 +221,30 @@ def test_weak_value_of_a_stack_equals_per_operator_calls(subsystem, dim, embed):
         assert got == [weak_value(psi, post, op, subsystem) for op in stack]
         f, full = post.state(), stack if dim == 4 else [embed(op) for op in stack]
         assert got == [complex(np.vdot(f, op @ psi)) / complex(np.vdot(f, psi)) for op in full]
+
+
+@pytest.mark.parametrize("subsystem, dim", [("A", 2), ("B", 2), ("A", 4)])
+def test_weak_value_of_a_bra_stack_equals_per_post_selection_calls(subsystem, dim):
+    rng = np.random.default_rng(63)
+    for _ in range(10):
+        psi = bell_state(rng.uniform(-math.pi, math.pi))
+        oa, ob = rng.uniform(-4, 4, 2)
+        bras = post_selection_bras(oa, ob)
+        posts = [PostSelection(oa, s_a, ob, s_b) for s_a, s_b in OUTCOME_PAIRS]
+        stack = np.array([rand_hermitian(rng, dim) for _ in range(3)])
+        for op in (stack, stack[0]):
+            want = [weak_value(psi, post, op, subsystem) for post in posts]
+            assert weak_value(psi, bras, op, subsystem) == want
+            assert weak_value(psi, bras[2:], op, subsystem) == want[2:]
+
+
+def test_weak_value_bra_stack_checks_shape_and_every_overlap():
+    with pytest.raises(ValueError, match="bra stack shape"):
+        weak_value(bell_state(0.0), np.zeros(4), PAULI_Z, "A")
+    # at delta = 0 the (+1, +1) and (-1, -1) bras are orthogonal to the singlet
+    for rows in (slice(None), slice(1, None)):
+        with pytest.raises(PostSelectionOverlapError):
+            weak_value(bell_state(0.0), post_selection_bras(0.4, 0.4)[rows], PAULI_Z, "A")
 
 
 def test_weak_value_rejects_unsupported_stack_shape():
