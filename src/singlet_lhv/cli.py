@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -208,12 +207,6 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """build_parser() once per process: parse_args keeps no state between calls."""
-    return build_parser()
-
-
 def _cmd_transform_curve(args, header):
     omega, transformed, linear = transform_curve(
         _angle(args.delta, args.degrees), args.grid_points, args.n
@@ -405,8 +398,9 @@ _DISPATCH = {
 
 
 def main(argv=None):
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     dests = vars(args).keys()

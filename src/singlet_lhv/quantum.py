@@ -50,11 +50,6 @@ def bell_state(phi) -> np.ndarray:
     return np.array([0.0, 1.0, -np.exp(-1j * phi), 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-def _in_plane(w) -> np.ndarray:
-    """cos(w) X + sin(w) Y for a wrapped angle w."""
-    return np.cos(w) * PAULI_X + np.sin(w) * PAULI_Y
-
-
 def polarization_operator(omega_ref, axis: str) -> np.ndarray:
     """Polarization component of particle A along the requested axis.
 
@@ -64,9 +59,9 @@ def polarization_operator(omega_ref, axis: str) -> np.ndarray:
     """
     w = wrap_angle(omega_ref)
     if axis == "in-plane":
-        return _in_plane(w)
+        return np.cos(w) * PAULI_X + np.sin(w) * PAULI_Y
     if axis == "orthogonal-in-plane":
-        return _in_plane(wrap_angle(w + np.pi / 2.0))
+        return polarization_operator(w + np.pi / 2.0, "in-plane")
     if axis == "flight":
         return PAULI_Z.copy()
     raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -82,9 +77,9 @@ def polarization_operator_b(omega_ref, axis: str) -> np.ndarray:
     """
     w = wrap_angle(omega_ref)
     if axis == "in-plane":
-        return _in_plane(w)
+        return polarization_operator(w, "in-plane")
     if axis == "orthogonal-in-plane":
-        return _in_plane(wrap_angle(w - np.pi / 2.0))
+        return polarization_operator(w - np.pi / 2.0, "in-plane")
     if axis == "flight":
         return -PAULI_Z.copy()
     raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -100,15 +95,12 @@ def embed_b(op2: np.ndarray) -> np.ndarray:
     return np.kron(IDENTITY_2, op2)
 
 
-def _eigenstate(w, outcome) -> np.ndarray:
-    return np.array([1.0, outcome * np.exp(1j * w)], dtype=complex) / np.sqrt(2.0)
-
-
 def in_plane_eigenstate(omega_ref, outcome) -> np.ndarray:
     """Normalized eigenvector of the in-plane operator at omega_ref."""
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return _eigenstate(wrap_angle(omega_ref), outcome)
+    w = wrap_angle(omega_ref)
+    return np.array([1.0, outcome * np.exp(1j * w)], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -128,14 +120,15 @@ class PostSelection:
 
     def state(self) -> np.ndarray:
         return np.kron(
-            _eigenstate(self.omega_a_ref, self.s_a), _eigenstate(self.omega_b_ref, self.s_b)
+            in_plane_eigenstate(self.omega_a_ref, self.s_a),
+            in_plane_eigenstate(self.omega_b_ref, self.s_b),
         )
 
 
 def post_selection_bras(omega_a_ref, omega_b_ref) -> np.ndarray:
     """Rows are PostSelection(omega_a_ref, s_a, omega_b_ref, s_b).state() in OUTCOME_PAIRS order."""
-    angles = map(wrap_angle, (omega_a_ref, omega_b_ref))
-    return np.kron(*np.array([[_eigenstate(w, s) for s in (1, -1)] for w in angles]))
+    bases = [[in_plane_eigenstate(w, s) for s in (1, -1)] for w in (omega_a_ref, omega_b_ref)]
+    return np.kron(*np.array(bases))
 
 
 def _amplitudes(psi, bras, ops=()):

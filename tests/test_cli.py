@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import singlet_lhv
-from singlet_lhv import cli
 from singlet_lhv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -292,10 +291,10 @@ def test_wz_empty_pair_without_a_2x2_sub_grid_is_usage_error(capsys, seed):
     assert captured.out == ""
 
 
-# ------------------------------------------------------ parser reuse
+# ------------------------------------------------ repeated main() calls
 
 
-PARSER_SEQUENCE = (
+MAIN_SEQUENCE = (
     ("weak-values", "--phi", "0.3"),
     ("weak-values", "--phi", "0.3", "--delta-omega", "1.2", "--format", "json"),
     ("correlate", "--delta-grid", "0:1:3", "--trials", "2000", "--seed", "4"),
@@ -305,22 +304,20 @@ PARSER_SEQUENCE = (
 )
 
 
-def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys):
-    def run(fresh):
-        seen = []
-        for argv in PARSER_SEQUENCE:
-            if fresh:
-                cli._parser.cache_clear()
+def test_main_keeps_no_state_between_calls(capsys):
+    def run(sequence):
+        seen = {}
+        for argv in sequence:
             code = main(list(argv))
             captured = capsys.readouterr()
-            seen.append((code, captured.out, captured.err))
+            seen[argv] = (code, captured.out, captured.err)
         return seen
 
-    parser = cli._parser()
-    shared = run(fresh=False)
-    assert cli._parser() is parser
-    assert [code for code, _, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
-    assert shared == run(fresh=True)
+    forward = run(MAIN_SEQUENCE)
+    assert [forward[argv][0] for argv in MAIN_SEQUENCE] == [
+        EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK
+    ]
+    assert run(MAIN_SEQUENCE[::-1]) == forward
 
 
 # ----------------------------------------------------- reproducibility

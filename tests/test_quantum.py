@@ -82,17 +82,6 @@ def test_polarization_operator_spectrum(axis):
         np.testing.assert_allclose(evals, [-1.0, 1.0], atol=1e-12)
 
 
-def test_orthogonal_components_are_the_in_plane_operator_a_quarter_turn_away():
-    # bit for bit, at wrapped and unwrapped reference angles
-    turns = ((polarization_operator, np.pi / 2.0), (polarization_operator_b, -np.pi / 2.0))
-    for w in np.linspace(-7.0, 7.0, 401):
-        in_plane = polarization_operator(w, "in-plane")
-        assert np.array_equal(polarization_operator_b(w, "in-plane"), in_plane)
-        for operator, turn in turns:
-            want = polarization_operator(wrap_angle(w) + turn, "in-plane")
-            assert np.array_equal(operator(w, "orthogonal-in-plane"), want)
-
-
 def test_eigenstate_property():
     for w in np.linspace(-math.pi, math.pi, 9):
         op = polarization_operator(w, "in-plane")
