@@ -31,6 +31,7 @@ from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
     MeasurementSetting,
     _b_positive,
+    _omega_terms,
     b_frame_coordinate,
     circle_transform_n,
     response,
@@ -49,9 +50,10 @@ CHUNK = 1 << 14
 # kernel's correctness rests on tests/test_kernel.py; this check stays only
 # while perfbench's traced frame metrics need these public calls (ROADMAP item 2).
 SPOT = 256
-# Settings evaluated together on a chunk; they share cos omega.  On the
-# 25-point scan, 4 rows ran faster than 1, 2, 8 or all 25 (cache-sized
-# temporaries).  At most 7: a trial's joint-histogram bin is a uint8.
+# Settings evaluated together on a chunk, in one kernel call; every group
+# shares the chunk's omega terms (cos omega).  On the 25-point scan, 4 rows ran
+# faster than 1, 2, 8 or all 25 (cache-sized temporaries).  At most 7: a
+# trial's joint-histogram bin is a uint8.
 ROWS = 4
 
 
@@ -197,19 +199,25 @@ def _signed_sum(estimates, n) -> EstimateWithError:
 
 
 def _joint_counts(omega, column, n):
-    """Joint-outcome histogram of omega's trials at a column of at most ROWS settings.
+    """Joint-outcome histograms of omega's trials at a column of settings, one per ROWS rows.
 
-    Bin a + 2 b_0 + 4 b_1 + ..., with a = [A = +1] and b_j = [B = +1] at
-    row j: 2 << ROWS bins of exact counts.  The only chunk loop: each step
-    runs the outcome kernel on CHUNK trials.
+    Group g holds rows [g ROWS, (g + 1) ROWS) of the column; its bin is
+    a + 2 b_0 + 4 b_1 + ..., with a = [A = +1] and b_j = [B = +1] at its row
+    j: 2 << ROWS bins of exact counts.  The only chunk loop: each step takes
+    the omega terms of CHUNK trials once and runs the outcome kernel on them
+    for every group.
     """
-    hist = np.zeros(2 << ROWS, dtype=np.int64)
+    groups = [column[i:i + ROWS] for i in range(0, len(column), ROWS)]
+    hist = np.zeros((len(groups), 2 << ROWS), dtype=np.int64)
     for lo in range(0, omega.size, CHUNK):
         o = omega[lo:lo + CHUNK]
-        code = (o >= 0.0).view(np.uint8)
-        for j, pos_b in enumerate(_b_positive(o, column, n), start=1):
-            code += pos_b.view(np.uint8) << j
-        hist += np.bincount(code, minlength=hist.size)
+        pos_a = (o >= 0.0).view(np.uint8)
+        terms = _omega_terms(o, n)
+        for h, rows in zip(hist, groups):
+            code = pos_a.copy()
+            for j, pos_b in enumerate(_b_positive(o, rows, n, terms), start=1):
+                code += pos_b.view(np.uint8) << j
+            h += np.bincount(code, minlength=h.size)
     return hist
 
 
@@ -220,14 +228,12 @@ def _tally(joint, row=0) -> TrialTally:
 
 
 def _joints(config: RunConfig, settings, first=0):
-    """Per stream, the _joint_counts of each group of ROWS settings, summed over its blocks."""
+    """Per stream, the _joint_counts of the settings, summed over its blocks."""
     n_index = config.setting.n
     column = np.array([[ms.delta] for ms in settings])
 
     def tally_block(rng, block, count):
-        omega = _draw_checked(rng, count, settings, n_index, block)
-        groups = range(0, len(settings), ROWS)
-        return np.array([_joint_counts(omega, column[i:i + ROWS], n_index) for i in groups])
+        return _joint_counts(_draw_checked(rng, count, settings, n_index, block), column, n_index)
 
     return _map_blocks(config, tally_block, first)
 
@@ -396,7 +402,7 @@ def run_weihs_zeilinger(
         grouped = omega[np.argsort(pair.astype(np.min_scalar_type(pair_delta.size)), kind="stable")]
         edges = np.cumsum(np.bincount(pair, minlength=pair_delta.size))[:-1]
         groups = zip(np.split(grouped, edges), pair_delta[:, None, None])
-        return np.array([_joint_counts(o, column, n_index) for o, column in groups])
+        return np.array([_joint_counts(o, column, n_index)[0] for o, column in groups])
 
     counts = sum(_map_blocks(config, tally_block))
     pairs = [(a, b) for a in alphas for b in betas]

@@ -241,16 +241,17 @@ OPERATOR_QUANTITIES = {
 }
 
 
-def subset_averages(subset: CoarseSubset) -> dict[str, complex]:
+def subset_averages(subset: CoarseSubset, measure: float | None = None) -> dict[str, complex]:
     """Closed-form coarse_average of each operator's quantity over a subset.
 
     On an interval [lo, hi] on one side of 0, with sign s, the weighted
     integrands integrate exactly to 0.25 (cos lo - cos hi) (in-plane),
     -0.25 (sin hi - sin lo) (orthogonal-in-plane) and
     i s 0.25 (sin hi - sin lo) (flight); they are evaluated in the
-    cancellation-free product forms of those differences.
+    cancellation-free product forms of those differences.  ``measure``, if
+    given, is the subset's already checked density measure.
     """
-    den = _checked_measure(subset)
+    den = _checked_measure(subset) if measure is None else measure
     num = dict.fromkeys(OPERATOR_QUANTITIES, 0j)
     for lo, hi in subset.intervals:
         mid, half = 0.5 * (lo + hi), math.sin(0.5 * (hi - lo))
@@ -350,7 +351,9 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
     d_omega = wrap_angle(float(delta_omega))
     delta = wrap_angle(d_omega - phi)
     partition = coarse_partition(delta)
-    if min(s.measure() for s in partition) <= ZERO_MEASURE_TOL:
+    # the B subset of (s_a, s_b) is the A interval of (s_b, s_a): one measure serves both
+    measures = {(s.s_a, s.s_b): s.measure() for s in partition}
+    if min(measures.values()) <= ZERO_MEASURE_TOL:
         return WeakValueReport(
             phi=phi,
             delta_omega=d_omega,
@@ -374,7 +377,8 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
         # one call per side: the k-th row belongs to the bra of OUTCOME_PAIRS[k]
         oracle = dict(zip(OUTCOME_PAIRS, weak_value(psi, bras, ops[side], side)))
         for subset in subsets:
-            averages = subset_averages(subset)
+            pair = (subset.s_a, subset.s_b) if side == "A" else (subset.s_b, subset.s_a)
+            averages = subset_averages(subset, measures[pair])
             for axis, value in zip(OPERATOR_QUANTITIES, oracle[subset.s_a, subset.s_b]):
                 rows[side].append(
                     MatchRow(

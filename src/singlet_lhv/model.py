@@ -81,15 +81,46 @@ def wrap_angle(x):
     return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
 
 
+# TWO_PI = _P_HI + _P_LO exactly.  _P_HI keeps the top 25 significant bits and
+# _P_LO has 24, so q * _P_HI and q * _P_LO are exact for every integer |q| < 2^28.
+_P_HI = float.fromhex("0x1.921fb5p+2")
+_P_LO = TWO_PI - _P_HI
+_EXACT_Q = 2.0**28
+
+
 def _wrap(x):
-    """wrap_angle of a finite float array, in place; np.mod only on out-of-range elements."""
+    """wrap_angle of a finite float array, in place, touching only out-of-range elements.
+
+    Bit for bit the mod form ``np.mod(x + pi, TWO_PI) - pi`` with +pi moved to
+    -pi, but without np.mod.  On z = x + pi take q = trunc(z / TWO_PI): the
+    rounded quotient is the true one or one too large in magnitude.  For
+    |q| < 2^28 the products q * _P_HI and q * _P_LO are exact; z - q * _P_HI
+    is exact, being a multiple of ulp(z) (|z| < 2^31) no larger than |z|; and
+    f = (z - q * _P_HI) - q * _P_LO = z - q * TWO_PI is exact, being a
+    multiple of 2^-50 below 8 in magnitude.  So f is fmod(z, TWO_PI), or for
+    a q one too large fmod(z, TWO_PI) - sign(z) TWO_PI.  np.mod's sign rule,
+    add TWO_PI to a negative fmod, is then one rounding: the same one in the
+    first case, and exact in the second, where it gives fmod itself.
+    Larger magnitudes, which only public ``wrap_angle`` calls pass, keep np.mod.
+    """
     x = np.asarray(x)
     flat = x.reshape(-1)
-    out = np.flatnonzero((flat < -np.pi) | (flat >= np.pi))
+    (out,) = ((flat < -np.pi) | (flat >= np.pi)).nonzero()
     if out.size:
-        w = np.mod(flat[out] + np.pi, TWO_PI) - np.pi
-        w[w == np.pi] = -np.pi
-        flat[out] = w
+        z = flat[out]
+        z += np.pi
+        q = z / TWO_PI
+        np.trunc(q, out=q)
+        if np.maximum.reduce(np.abs(q)) < _EXACT_Q:
+            z -= q * _P_HI
+            q *= _P_LO
+            z -= q
+            z += TWO_PI * (z < 0.0)
+        else:
+            z = np.mod(z, TWO_PI)
+        z -= np.pi
+        z[z == np.pi] = -np.pi
+        flat[out] = z
     return flat.reshape(x.shape)
 
 
@@ -122,40 +153,50 @@ def _acos_checked(u):
 _BRANCH_SIGNS = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)])
 
 
-def _branch_arg(o, d):
-    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform."""
+def _branch_arg(o, d, cos_o):
+    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform, given cos_o = cos(o)."""
     neg = d < 0.0
     k = (o >= np.where(neg, d, d - np.pi)).astype(np.intp)
     k += o >= 0.0
     k += o >= np.where(neg, d + np.pi, d)
     k ^= 3 * neg
     s_d, s_o, s_1 = (np.take(col, k) for col in _BRANCH_SIGNS)
-    return (s_d * np.cos(d) + s_o * np.cos(o)) + s_1
+    return (s_d * np.cos(d) + s_o * cos_o) + s_1
 
 
-def _transform(o, d):
+def _transform(o, d, cos_o):
     """circle_transform of wrapped arrays, unchecked: the arccos signed by branch_sign, never +pi."""
-    rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
+    rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d, cos_o))
     return np.where((rel >= 0.0) & (a < np.pi), a, -a)
 
 
-def _transform_n(o, d, n):
-    """circle_transform_n of finite arrays for n > 1, unchecked."""
-    no, nd = n * o, n * d
-    linear_n = _wrap(no - nd)
-    inner = _transform(_wrap(no), _wrap(nd))
+def _omega_terms(o, n):
+    """The transform's terms in omega alone: wrap(n o) and its cosine (o itself at n = 1)."""
+    no = o if n == 1 else _wrap(n * o)
+    return no, np.cos(no)
+
+
+def _transform_n(o, d, n, terms):
+    """circle_transform_n of finite arrays for n > 1, unchecked; terms = _omega_terms(o, n)."""
+    wo, cos_wo = terms
+    linear_n = _wrap(n * o - n * d)
+    inner = _transform(wo, _wrap(n * d), cos_wo)
     return _wrap(_wrap(o - d) + _wrap(inner - linear_n) / n)
 
 
-def _b_positive(omega, delta, n=1):
+def _b_positive(omega, delta, n=1, terms=None):
     """Outcome kernel: True where B = +1, bit for bit response(b_frame_coordinate) > 0.
 
-    Unchecked: omega is a wrapped finite array; delta a wrapped scalar, per-trial
-    array or column of settings (one row of outcomes each); n a positive int.
-    B is +1 where the transform T lies in (-pi, 0].
+    Unchecked: omega is a wrapped finite array; delta a finite scalar, per-trial
+    array or column of settings (one row of outcomes each), wrapped here; n a
+    positive int; terms, if given, _omega_terms(omega, n), shared by callers
+    that evaluate many settings on one omega.  B is +1 where the transform T
+    lies in (-pi, 0].
     """
-    d = np.asarray(delta, dtype=float)
-    t = _transform(omega, d) if n == 1 else _transform_n(omega, d, n)
+    d = _wrap(np.array(delta, dtype=float))
+    if terms is None:
+        terms = _omega_terms(omega, n)
+    t = _transform(omega, d, terms[1]) if n == 1 else _transform_n(omega, d, n, terms)
     return (t > -np.pi) & (t <= 0.0)
 
 
@@ -168,7 +209,7 @@ def circle_transform(omega, delta):
     |d cos(out)| = |d cos(omega)| on every branch.
     """
     o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
-    return _maybe_scalar(_transform(o, d), omega, delta)
+    return _maybe_scalar(_transform(o, d, np.cos(o)), omega, delta)
 
 
 def circle_transform_n(omega, delta, n=1):
@@ -187,7 +228,8 @@ def circle_transform_n(omega, delta, n=1):
     n = _density_index(n)
     if n == 1:
         return circle_transform(omega, delta)
-    out = _transform_n(_as_float_array(omega), _as_float_array(delta), n)
+    o = _as_float_array(omega)
+    out = _transform_n(o, _as_float_array(delta), n, _omega_terms(o, n))
     return _maybe_scalar(out, omega, delta)
 
 
@@ -240,7 +282,7 @@ def sample_orientations(rng, size, n=1):
     omega -= 1.0 - 2.0**-53
     np.arccos(omega, out=omega)
     k = rng.integers(0, 4 * n, size=size)
-    np.negative(omega, out=omega, where=(k & 1) == 0)
+    omega *= (k & 1) * 2 - 1  # exact sign: -1 for even k
     if n > 1:
         omega /= n
         omega += (k >> 1) * (np.pi / n)

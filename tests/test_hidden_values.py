@@ -236,7 +236,23 @@ def test_closed_form_averages_reject_zero_measure():
         subset_averages(empty)
 
 
+def test_b_subsets_carry_the_measure_of_their_mirrored_a_subsets():
+    for delta in (-2.5, -0.3, 0.7, 3.0):
+        a_side = {(s.s_a, s.s_b): s.measure() for s in coarse_partition(delta)}
+        for s in b_coarse_partition(delta):
+            assert s.measure() == a_side[s.s_b, s.s_a]
+
+
 # ------------------------------------------------------- match report
+
+
+def test_weak_value_report_measures_each_a_subset_once(monkeypatch):
+    calls = []
+    measure = CoarseSubset.measure
+    monkeypatch.setattr(CoarseSubset, "measure", lambda self, n=1: calls.append(self) or measure(self, n))
+    report = verify_weak_value_match(0.3, 1.1)
+    assert len(report.comparisons) == len(report.b_side_comparisons) == 12
+    assert sorted((s.s_a, s.s_b) for s in calls) == sorted((s.s_a, s.s_b) for s in coarse_partition(report.delta))
 
 
 def test_weak_value_match_at_quarter_turn():

@@ -28,7 +28,7 @@ from singlet_lhv.model import (
 )
 
 deltas = st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True)
-# wrap_angle itself returns +pi just below -pi, so the kernel takes it too
+# the kernel wraps its settings itself, so an unwrapped +pi must give the public outcomes too
 wrapped_deltas = st.one_of(deltas, st.just(math.pi))
 density_index = st.sampled_from([1, 2, 7])
 
@@ -80,6 +80,13 @@ def test_kernel_matches_public_path_on_samples():
             np.testing.assert_array_equal(_b_positive(omega, setting.delta, n), expected)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_kernel_wraps_a_setting_of_plus_pi(n):
+    # the public path takes delta = +pi as -pi; near omega = -pi the two disagree unwrapped
+    omega = cut_points(0.4, n)
+    np.testing.assert_array_equal(_b_positive(omega, math.pi, n), public_b_positive(omega, math.pi, n))
+
+
 def test_kernel_takes_a_column_of_settings():
     omega = sample_orientations(np.random.Generator(np.random.Philox(key=5)), 5_000, 7)
     column = np.array([[-2.0], [0.0], [0.5], [math.pi]])
@@ -98,7 +105,20 @@ def test_joint_counts_bin_the_public_outcomes(monkeypatch, n, rows):
     bits = [response(omega) > 0] + [response(b_frame_coordinate(omega, ms)) > 0 for ms in public]
     code = sum(b.astype(int) << j for j, b in enumerate(bits))
     joint = harness._joint_counts(omega, column, n)
-    np.testing.assert_array_equal(joint, np.bincount(code, minlength=2 << harness.ROWS))
+    np.testing.assert_array_equal(joint, [np.bincount(code, minlength=2 << harness.ROWS)])
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_joint_counts_of_all_scan_settings_equal_the_per_group_histograms(monkeypatch, n):
+    monkeypatch.setattr(harness, "CHUNK", 1_000)
+    omega = sample_orientations(np.random.Generator(np.random.Philox(key=7)), 3_333, n)
+    column = np.array([[wrap_angle(d)] for d in np.linspace(0.0, 3.14159265, 25)])
+    together = harness._joint_counts(omega, column, n)
+    groups = [column[i:i + harness.ROWS] for i in range(0, len(column), harness.ROWS)]
+    assert together.shape == (len(groups), 2 << harness.ROWS)
+    for joint, group in zip(together, groups):
+        np.testing.assert_array_equal(joint, harness._joint_counts(omega, group, n)[0])
+        assert joint.sum() == omega.size
 
 
 def on_arc(omega, delta):

@@ -121,6 +121,30 @@ def test_wrap_equals_the_mod_form_bit_for_bit(values):
     _assert_wraps_like_the_mod_form(values)
 
 
+def _ulp_neighbourhoods(centres, steps=50):
+    """Each centre and the ``steps`` doubles on either side of it."""
+    up = down = np.asarray(centres, dtype=float)
+    out = [up]
+    for _ in range(steps):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_wrap_equals_the_mod_form_on_both_sides_of_its_exactness_bound():
+    # period arithmetic is exact while |x| / 2 pi < 2^28; beyond that np.mod stays
+    huge = [1e30, -1e30, 1e300, -1e300, 2.0**31, -(2.0**31), 2.0**60, -(2.0**60)]
+    centres = [s * 2.0**k * math.pi for k in range(61) for s in (1, -1)]
+    _assert_wraps_like_the_mod_form(np.concatenate([_ulp_neighbourhoods(centres), huge]))
+
+
+@pytest.mark.parametrize("n", [16, 33, 1000])
+def test_wrap_equals_the_mod_form_around_every_cell_edge(n):
+    # the cell edges k pi / n, and n times their neighbours: the kernel's wrap(n omega)
+    edges = _ulp_neighbourhoods(np.arange(-n, n + 1) * math.pi / n)
+    _assert_wraps_like_the_mod_form(np.concatenate([edges, n * edges]))
+
+
 SCALAR_TYPES = (float, np.float64, np.float32, lambda x: np.array(x, dtype=float))
 
 
