@@ -4,7 +4,7 @@ A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
 (``block_generator``, the only seeding rule).  Inside a block every
-command tallies one joint-outcome histogram of exact integer counts in
+command tallies joint-outcome histograms of exact integer counts in
 CHUNK-trial steps (``_joint_counts``), and every estimate comes from one
 moment rule (``EstimateWithError.of_counts``).  Neither the chunk size
 nor the stream count changes a result, and memory stays O(BLOCK x
@@ -50,9 +50,9 @@ CHUNK = 1 << 14
 # kernel's correctness rests on tests/test_kernel.py; this check stays only
 # while perfbench's traced frame metrics need these public calls (ROADMAP item 2).
 SPOT = 256
-# Settings evaluated together on a chunk, in one kernel call; every group
-# shares the chunk's omega terms (cos omega).  On the 25-point scan, 4 rows ran
-# faster than 1, 2, 8 or all 25 (cache-sized temporaries).  At most 7: a
+# Settings evaluated together on a chunk, in one kernel call; every group of
+# a chunk shares its omega terms (cos omega).  With those shared, 4 rows ran the
+# 25-point scan faster than 2 or 7 (cache-sized temporaries).  At most 7: a
 # trial's joint-histogram bin is a uint8.
 ROWS = 4
 
