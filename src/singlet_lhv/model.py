@@ -101,7 +101,7 @@ def _wrap(x):
     a q one too large fmod(z, TWO_PI) - sign(z) TWO_PI.  np.mod's sign rule,
     add TWO_PI to a negative fmod, is then one rounding: the same one in the
     first case, and exact in the second, where it gives fmod itself.
-    Larger magnitudes, which only public ``wrap_angle`` calls pass, keep np.mod.
+    Larger magnitudes, which only public calls with huge angles pass, keep np.mod.
     """
     x = np.asarray(x)
     flat = x.reshape(-1)
