@@ -153,20 +153,6 @@ def chsh_value(setting: ChshSetting, phi=0.0, n=1) -> float:
     return float(abs(chsh_expectation(setting, phi, n)))
 
 
-def chsh_grid_max(points=21):
-    """Maximum of chsh_value over a grid containing the optimal setting.
-
-    Axis ranges [0, pi] x [0, pi] x [-pi, 0] with `points` uniform values
-    each put (pi/2, pi/4, -pi/4) exactly on the grid for points = 21.
-    Returns (max_value, argmax ChshSetting).
-    """
-    base = np.linspace(0.0, np.pi, points)
-    # chsh_value over all (d, d', d'') at once; argmax keeps the loop's first maximum
-    values = np.abs(chsh_expectation(ChshSetting(*np.meshgrid(base, base, -base, indexing="ij"))))
-    i, j, k = np.unravel_index(np.argmax(values), values.shape)
-    return float(values[i, j, k]), ChshSetting(d_omega=base[i], d_omega_p=base[j], d_omega_pp=-base[k])
-
-
 def linear_law_curve(delta, grid_points):
     """Reference pairs (omega, wrap(omega - delta)) on a uniform grid."""
     if grid_points < 2:

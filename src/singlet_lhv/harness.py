@@ -5,10 +5,10 @@ of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
 (``block_generator``, the only seeding rule).  Inside a block every
 command tallies joint-outcome histograms of exact integer counts in
-CHUNK-trial steps (``_joint_counts``), and every estimate comes from one
-moment rule (``EstimateWithError.of_counts``).  Neither the chunk size
-nor the stream count changes a result, and memory stays O(BLOCK x
-streams) whatever the trial count.
+CHUNK-trial steps (``_joint_counts``; ``wz`` bins by modulator pair), and
+every estimate comes from one moment rule (``EstimateWithError.of_counts``).
+Neither the chunk size nor the stream count changes a result, and memory
+stays O(BLOCK x streams) whatever the trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
 same on every platform.
 
@@ -31,7 +31,6 @@ from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
     MeasurementSetting,
     _b_positive,
-    _omega_terms,
     b_frame_coordinate,
     circle_transform_n,
     response,
@@ -42,19 +41,14 @@ from .model import (
 MAX_TALLY_WORKERS = 8
 # Trials per seeded block; a run gets at most one thread per block.
 BLOCK = 250_000
-# Trials per kernel step of ROWS settings.  BLOCK / CHUNK near 16 keeps a step's
-# temporaries under glibc's trim threshold, which follows the largest freed
-# block array; lower ratios ran the scan 1.7x slower on 2 cores.
+# Trials per kernel step: 2^13 and 2^16 ran the scan 30-40% slower, 2^15 added 1.3 MB to wz-n RSS.
 CHUNK = 1 << 14
-# Leading trials of block 0 checked against the public transform.  The
-# kernel's correctness rests on tests/test_kernel.py; this check stays only
-# while perfbench's traced frame metrics need these public calls (ROADMAP item 2).
+# Leading trials of block 0 checked against the public transform.  tests/test_kernel.py
+# covers the kernel; this stays only while perfbench traces these calls (ROADMAP item 1).
 SPOT = 256
-# Settings evaluated together on a chunk, in one kernel call; every group of
-# a chunk shares its omega terms (cos omega).  With those shared, 4 rows ran the
-# 25-point scan faster than 2 or 7 (cache-sized temporaries).  At most 7: a
-# trial's joint-histogram bin is a uint8.
-ROWS = 4
+# Settings per kernel call on a chunk: 7 ran the 25-point scan 13% faster than 4.
+# At most 7, as a trial's joint-histogram bin is a uint8.
+ROWS = 7
 
 
 @dataclass(frozen=True)
@@ -203,19 +197,16 @@ def _joint_counts(omega, column, n):
 
     Group g holds rows [g ROWS, (g + 1) ROWS) of the column; its bin is
     a + 2 b_0 + 4 b_1 + ..., with a = [A = +1] and b_j = [B = +1] at its row
-    j: 2 << ROWS bins of exact counts.  The only chunk loop: each step takes
-    the omega terms of CHUNK trials once and runs the outcome kernel on them
-    for every group.
+    j: 2 << ROWS bins of exact counts, tallied CHUNK trials at a time.
     """
     groups = [column[i:i + ROWS] for i in range(0, len(column), ROWS)]
     hist = np.zeros((len(groups), 2 << ROWS), dtype=np.int64)
     for lo in range(0, omega.size, CHUNK):
         o = omega[lo:lo + CHUNK]
         pos_a = (o >= 0.0).view(np.uint8)
-        terms = _omega_terms(o, n)
         for h, rows in zip(hist, groups):
             code = pos_a.copy()
-            for j, pos_b in enumerate(_b_positive(o, rows, n, terms), start=1):
+            for j, pos_b in enumerate(_b_positive(o, rows, n), start=1):
                 code += pos_b.view(np.uint8) << j
             h += np.bincount(code, minlength=h.size)
     return hist
@@ -398,11 +389,12 @@ def run_weihs_zeilinger(
                 WZTrialRecord(alphas[p // len(betas)], betas[p % len(betas)], response(w), int(s), w)
                 for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
             ]
-        # each pair's trials at its fixed setting, grouped by one radix sort, not a mask per pair
-        grouped = omega[np.argsort(pair.astype(np.min_scalar_type(pair_delta.size)), kind="stable")]
-        edges = np.cumsum(np.bincount(pair, minlength=pair_delta.size))[:-1]
-        groups = zip(np.split(grouped, edges), pair_delta[:, None, None])
-        return np.array([_joint_counts(o, column, n_index)[0] for o, column in groups])
+        counts = np.zeros(4 * pair_delta.size, dtype=np.int64)
+        for lo in range(0, count, CHUNK):
+            p, o = pair[lo:lo + CHUNK], omega[lo:lo + CHUNK]
+            code = 4 * p + (o >= 0.0) + 2 * _b_positive(o, pair_delta[p], n_index)
+            counts += np.bincount(code, minlength=counts.size)
+        return counts.reshape(-1, 4)
 
     counts = sum(_map_blocks(config, tally_block))
     pairs = [(a, b) for a in alphas for b in betas]

@@ -153,51 +153,60 @@ def _acos_checked(u):
 _BRANCH_SIGNS = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)])
 
 
-def _branch_arg(o, d, cos_o):
-    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform, given cos_o = cos(o)."""
+def _branch_arg(o, d):
+    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform."""
     neg = d < 0.0
     k = (o >= np.where(neg, d, d - np.pi)).astype(np.intp)
     k += o >= 0.0
     k += o >= np.where(neg, d + np.pi, d)
     k ^= 3 * neg
     s_d, s_o, s_1 = (np.take(col, k) for col in _BRANCH_SIGNS)
-    return (s_d * np.cos(d) + s_o * cos_o) + s_1
+    return (s_d * np.cos(d) + s_o * np.cos(o)) + s_1
 
 
-def _transform(o, d, cos_o):
+def _transform(o, d):
     """circle_transform of wrapped arrays, unchecked: the arccos signed by branch_sign, never +pi."""
-    rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d, cos_o))
+    rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
     return np.where((rel >= 0.0) & (a < np.pi), a, -a)
 
 
-def _omega_terms(o, n):
-    """The transform's terms in omega alone: wrap(n o) and its cosine (o itself at n = 1)."""
-    no = o if n == 1 else _wrap(n * o)
-    return no, np.cos(no)
-
-
-def _transform_n(o, d, n, terms):
-    """circle_transform_n of finite arrays for n > 1, unchecked; terms = _omega_terms(o, n)."""
-    wo, cos_wo = terms
+def _transform_n(o, d, n):
+    """circle_transform_n of finite arrays for n > 1, unchecked."""
     linear_n = _wrap(n * o - n * d)
-    inner = _transform(wo, _wrap(n * d), cos_wo)
+    inner = _transform(_wrap(n * o), _wrap(n * d))
     return _wrap(_wrap(o - d) + _wrap(inner - linear_n) / n)
 
 
-def _b_positive(omega, delta, n=1, terms=None):
+CUT_BAND = 1e-6
+
+
+def _b_positive(omega, delta, n=1):
     """Outcome kernel: True where B = +1, bit for bit response(b_frame_coordinate) > 0.
 
     Unchecked: omega is a wrapped finite array; delta a finite scalar, per-trial
     array or column of settings (one row of outcomes each), wrapped here; n a
-    positive int; terms, if given, _omega_terms(omega, n), shared by callers
-    that evaluate many settings on one omega.  B is +1 where the transform T
-    lies in (-pi, 0].
+    positive int.  At every n, B is +1 exactly on the A-frame arc (delta - pi,
+    delta], r = omega - delta in (-pi, 0] or above pi, except that trials within
+    CUT_BAND of a cut take their outcome from the transform T itself.  Near +-1,
+    arccos turns an argument error e into an angle error of about sqrt(2 e), 3e-8
+    for 4 ulps of 1 (Goldberg, "What every computer scientist should know about
+    floating-point arithmetic", 1991); the n > 1 form divides it by n.  As
+    |sin(n w)|/4 vanishes at both cuts, measure preservation keeps |T - cut| above
+    half of omega's distance to its cut: beyond 6e-8 the computed outcome is the arc's.
     """
     d = _wrap(np.array(delta, dtype=float))
-    if terms is None:
-        terms = _omega_terms(omega, n)
-    t = _transform(omega, d, terms[1]) if n == 1 else _transform_n(omega, d, n, terms)
-    return (t > -np.pi) & (t <= 0.0)
+    r = omega - d
+    gap = np.abs(r)
+    pos = (r <= 0.0) ^ (gap > np.pi)
+    # gap becomes the distance to delta - pi on the circle, and pi - gap that to delta
+    gap -= np.pi
+    np.abs(gap, out=gap)
+    near = (gap < CUT_BAND) | (gap > np.pi - CUT_BAND)
+    if near.any():
+        o, d = np.broadcast_to(omega, r.shape)[near], np.broadcast_to(d, r.shape)[near]
+        t = _transform(o, d) if n == 1 else _transform_n(o, d, n)
+        pos[near] = (t > -np.pi) & (t <= 0.0)
+    return pos
 
 
 def circle_transform(omega, delta):
@@ -209,7 +218,7 @@ def circle_transform(omega, delta):
     |d cos(out)| = |d cos(omega)| on every branch.
     """
     o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
-    return _maybe_scalar(_transform(o, d, np.cos(o)), omega, delta)
+    return _maybe_scalar(_transform(o, d), omega, delta)
 
 
 def circle_transform_n(omega, delta, n=1):
@@ -228,8 +237,7 @@ def circle_transform_n(omega, delta, n=1):
     n = _density_index(n)
     if n == 1:
         return circle_transform(omega, delta)
-    o = _as_float_array(omega)
-    out = _transform_n(o, _as_float_array(delta), n, _omega_terms(o, n))
+    out = _transform_n(_as_float_array(omega), _as_float_array(delta), n)
     return _maybe_scalar(out, omega, delta)
 
 

@@ -14,7 +14,6 @@ from singlet_lhv.analytic import (
     bell_inequality_sides,
     bell_violation_map,
     chsh_expectation,
-    chsh_grid_max,
     chsh_value,
     correlation,
     joint_probabilities,
@@ -170,6 +169,20 @@ def test_chsh_value_is_the_magnitude_of_the_expectation(a, b, c, phi, n):
     assert chsh_value(s, phi, n) == abs(e)
 
 
+def chsh_grid_max(points=21):
+    """Maximum of chsh_value over a grid containing the optimal setting.
+
+    Axis ranges [0, pi] x [0, pi] x [-pi, 0] with `points` uniform values
+    each put (pi/2, pi/4, -pi/4) exactly on the grid for points = 21.
+    Returns (max_value, argmax ChshSetting).
+    """
+    base = np.linspace(0.0, np.pi, points)
+    # chsh_value over all (d, d', d'') at once; argmax keeps the loop's first maximum
+    values = np.abs(chsh_expectation(ChshSetting(*np.meshgrid(base, base, -base, indexing="ij"))))
+    i, j, k = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i, j, k]), ChshSetting(d_omega=base[i], d_omega_p=base[j], d_omega_pp=-base[k])
+
+
 def test_chsh_grid_scan_attains_quantum_bound():
     best, argmax = chsh_grid_max(points=21)
     assert best > 2.0
@@ -234,6 +247,13 @@ def test_chsh_maximum_on_a_degree_grid_is_2_plus_2_root2_minus_1_over_n(n):
     best, setting = degree_grid_chsh_max(n)
     assert bound - 5e-4 < best <= bound + 1e-12
     assert abs(chsh_expectation(setting, 0.0, n)) == pytest.approx(best, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 32])
+def test_chsh_bound_is_attained_at_the_n1_optimum_scaled_by_1_over_n(n):
+    # three terms at spacing pi/(4n), one at 3 pi/(4n): 3 E_n(pi/4n) - E_n(3 pi/4n)
+    setting = ChshSetting(math.pi / (2 * n), math.pi / (4 * n), -math.pi / (4 * n))
+    assert chsh_expectation(setting, 0.0, n) == pytest.approx(-2 - 2 * (math.sqrt(2) - 1) / n, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

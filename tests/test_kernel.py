@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singlet_lhv import harness
+from singlet_lhv import harness, model
 from singlet_lhv.analytic import OPTIMAL_CHSH_SETTING
 from singlet_lhv.harness import (
     RunConfig,
@@ -146,6 +146,58 @@ def test_b_is_plus_exactly_on_the_arc_for_samples():
         keep = off_cuts(omega, delta)
         assert keep.mean() > 0.999
         np.testing.assert_array_equal(_b_positive(omega, delta)[keep], on_arc(omega, delta)[keep])
+
+
+def band_points(deltas):
+    """(omega, delta) pairs with omega at +-1e-16 ... 1e-5 from delta and from delta - pi, wrapped."""
+    offsets = np.logspace(-16, -5, 45)
+    offsets = np.concatenate([offsets, -offsets])
+    d = np.repeat(np.asarray(wrap_angle(np.asarray(deltas))), 2 * offsets.size)
+    near = np.tile(np.concatenate([offsets, offsets - math.pi]), len(deltas))
+    return np.asarray(wrap_angle(d + near)), d
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_kernel_matches_public_path_in_the_band_around_the_cuts(n):
+    # the arc rule alone disagrees with the transform up to about 1e-8 from a cut
+    deltas = np.concatenate([
+        np.random.Generator(np.random.Philox(key=9)).uniform(-math.pi, math.pi, 300),
+        [0.0, math.pi / 2, -math.pi / 2, -math.pi],
+    ])
+    omega, delta = band_points(deltas)
+    public = response(wrap_angle(-circle_transform_n(omega, delta, n))) > 0
+    np.testing.assert_array_equal(_b_positive(omega, delta, n), public)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("shape", ["scalar", "column", "per-trial"])
+def test_kernel_sends_exactly_the_band_to_the_transform(monkeypatch, n, shape):
+    sent = []
+    name = "_transform" if n == 1 else "_transform_n"
+    transform = getattr(model, name)
+
+    def counted(o, *rest):
+        sent.append(o.size)
+        return transform(o, *rest)
+
+    monkeypatch.setattr(model, name, counted)
+    rng = np.random.Generator(np.random.Philox(key=10))
+    drawn = sample_orientations(rng, 200_000, n)
+    # planted trials on both sides of the band's edges, around both cuts of delta = 1.1 and -2.3
+    offsets = model.CUT_BAND * np.array([0.0, 1e-10, 0.5, 0.99, 1.01, 2.0])
+    offsets = np.concatenate([offsets, -offsets, offsets - math.pi, -offsets - math.pi])
+    planted_delta = np.repeat([1.1, -2.3], offsets.size)
+    omega = np.concatenate([drawn, wrap_angle(planted_delta + np.tile(offsets, 2))])
+    if shape == "scalar":
+        delta = 1.1
+    elif shape == "column":
+        delta = np.array([[1.1], [-2.3], [0.0], [math.pi]])
+    else:
+        delta = np.concatenate([rng.uniform(-math.pi, math.pi, drawn.size), planted_delta])
+    _b_positive(omega, delta, n)
+    direct = np.sum(~off_cuts(omega, delta, model.CUT_BAND))
+    assert direct > 0
+    assert sum(sent) == direct
 
 
 def run_all(n):
