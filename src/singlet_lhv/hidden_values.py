@@ -108,9 +108,9 @@ class CoarseSubset:
 def coarse_partition(delta) -> tuple[CoarseSubset, ...]:
     """Four subsets of the A-frame coordinate, one per outcome pair.
 
-    B responds +1 exactly when the A coordinate lies on the arc of
-    length pi ending at delta, which for delta >= 0 is [delta - pi,
-    delta) and for delta < 0 wraps around -pi.
+    B responds +1 on the kernel's arc (delta - pi, delta].  These half-open
+    subsets, [delta - pi, delta) for delta >= 0 and wrapping around -pi for
+    delta < 0, match it up to their zero-density endpoints.
     """
     d = wrap_angle(float(delta))
     if d >= 0.0:

@@ -81,46 +81,15 @@ def wrap_angle(x):
     return _maybe_scalar(_wrap(_as_float_array(x).copy()), x)
 
 
-# TWO_PI = _P_HI + _P_LO exactly.  _P_HI keeps the top 25 significant bits and
-# _P_LO has 24, so q * _P_HI and q * _P_LO are exact for every integer |q| < 2^28.
-_P_HI = float.fromhex("0x1.921fb5p+2")
-_P_LO = TWO_PI - _P_HI
-_EXACT_Q = 2.0**28
-
-
 def _wrap(x):
-    """wrap_angle of a finite float array, in place, touching only out-of-range elements.
-
-    Bit for bit the mod form ``np.mod(x + pi, TWO_PI) - pi`` with +pi moved to
-    -pi, but without np.mod.  On z = x + pi take q = trunc(z / TWO_PI): the
-    rounded quotient is the true one or one too large in magnitude.  For
-    |q| < 2^28 the products q * _P_HI and q * _P_LO are exact; z - q * _P_HI
-    is exact, being a multiple of ulp(z) (|z| < 2^31) no larger than |z|; and
-    f = (z - q * _P_HI) - q * _P_LO = z - q * TWO_PI is exact, being a
-    multiple of 2^-50 below 8 in magnitude.  So f is fmod(z, TWO_PI), or for
-    a q one too large fmod(z, TWO_PI) - sign(z) TWO_PI.  np.mod's sign rule,
-    add TWO_PI to a negative fmod, is then one rounding: the same one in the
-    first case, and exact in the second, where it gives fmod itself.
-    Larger magnitudes, which only public calls with huge angles pass, keep np.mod.
-    """
+    """wrap_angle of a finite float array, in place; np.mod only on out-of-range elements."""
     x = np.asarray(x)
     flat = x.reshape(-1)
     (out,) = ((flat < -np.pi) | (flat >= np.pi)).nonzero()
     if out.size:
-        z = flat[out]
-        z += np.pi
-        q = z / TWO_PI
-        np.trunc(q, out=q)
-        if np.maximum.reduce(np.abs(q)) < _EXACT_Q:
-            z -= q * _P_HI
-            q *= _P_LO
-            z -= q
-            z += TWO_PI * (z < 0.0)
-        else:
-            z = np.mod(z, TWO_PI)
-        z -= np.pi
-        z[z == np.pi] = -np.pi
-        flat[out] = z
+        w = np.mod(flat[out] + np.pi, TWO_PI) - np.pi
+        w[w == np.pi] = -np.pi
+        flat[out] = w
     return flat.reshape(x.shape)
 
 
@@ -147,21 +116,18 @@ def _acos_checked(u):
     return np.arccos(np.clip(u, -1.0, 1.0))
 
 
-# Signs of (cos delta, cos omega, 1) in the arccos argument, one column per
-# branch.  Branch k of omega counts the cuts at or below it, {delta - pi, 0,
-# delta} for delta >= 0; for delta < 0, {delta, 0, delta + pi} and k -> 3 - k.
-_BRANCH_SIGNS = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)])
-
-
 def _branch_arg(o, d):
-    """arccos argument (+-cos d +- cos o) +- 1 of the n = 1 transform."""
+    """arccos argument s_d (cos d - s_1 cos o) + s_1 of the n = 1 transform.
+
+    s_d = +1 on the arc [delta - pi, delta) for delta >= 0 and [delta, delta + pi)
+    for delta < 0; s_1 = +1 on o >= 0 for delta >= 0 and on o < 0 for delta < 0.
+    """
     neg = d < 0.0
-    k = (o >= np.where(neg, d, d - np.pi)).astype(np.intp)
-    k += o >= 0.0
-    k += o >= np.where(neg, d + np.pi, d)
-    k ^= 3 * neg
-    s_d, s_o, s_1 = (np.take(col, k) for col in _BRANCH_SIGNS)
-    return (s_d * np.cos(d) + s_o * np.cos(o)) + s_1
+    lo = np.where(neg, d, d - np.pi)
+    hi = np.where(neg, d + np.pi, d)
+    s_d = np.where((o >= lo) & (o < hi), 1.0, -1.0)
+    s_1 = np.where((o >= 0.0) != neg, 1.0, -1.0)
+    return s_d * (np.cos(d) - s_1 * np.cos(o)) + s_1
 
 
 def _transform(o, d):
@@ -272,12 +238,13 @@ def sample_orientations(rng, size, n=1):
     """Draw hidden orientations with density |sin(n w)|/4, vectorized.
 
     Inverse-CDF in the cosine variable: u uniform on the open (-1, 1),
-    a fair sign, then wrap(sign * acos(u)).  u = 2 r - (1 - 2^-53) is
+    a fair sign, then sign * acos(u), already in (-pi, pi).  u = 2 r - (1 - 2^-53) is
     exact for the 53-bit uniform r and takes only odd multiples of 2^-53,
     so the zero-density poles {0, -pi} are unreachable by construction and
     exact anti-correlation at delta = 0 holds for every emitted sample.
     For n > 1 the n = 1 draw is compressed into one double cell and
-    shifted by a uniformly chosen whole cell.
+    shifted by a uniformly chosen whole cell, into (-pi/n, 2 pi + a few
+    ulps); draws at or above pi move back by one period.
 
     Draw order per call is fixed (u block, then one integer block k in
     [0, 4n) giving sign k & 1 and cell k >> 1), so a seeded generator
@@ -294,7 +261,14 @@ def sample_orientations(rng, size, n=1):
     if n > 1:
         omega /= n
         omega += (k >> 1) * (np.pi / n)
-    return _wrap(omega)
+        # pi <= x < 3 pi, so (x + pi) - TWO_PI is exact (Sterbenz): the mod form's bits
+        (out,) = (omega >= np.pi).nonzero()
+        z = omega[out]
+        z += np.pi
+        z -= TWO_PI
+        z -= np.pi
+        omega[out] = z
+    return omega
 
 
 def sample_hidden(rng, n=1) -> "HiddenConfig":

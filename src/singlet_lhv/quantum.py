@@ -196,34 +196,13 @@ def is_hermitian(op, tol=HERMITICITY_TOL) -> bool:
     return float(np.abs(op - op.conj().T).max()) <= tol * scale
 
 
-def _pauli_components(h2):
-    a = complex(np.trace(h2)).real / 2.0
-    v = np.array(
-        [
-            complex(np.trace(PAULI_X @ h2)).real / 2.0,
-            complex(np.trace(PAULI_Y @ h2)).real / 2.0,
-            complex(np.trace(PAULI_Z @ h2)).real / 2.0,
-        ]
-    )
-    return a, v
-
-
 def _unitary_exp(hamiltonian, t):
-    """exp(-i H t) for Hermitian H of dimension 2 (closed form) or 4 (eigh)."""
+    """exp(-i H t) for Hermitian H of dimension 2 or 4, by eigh."""
     h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape == (2, 2):
-        a, v = _pauli_components(h)
-        b = float(np.linalg.norm(v))
-        phase = np.exp(-1j * a * t)
-        if b == 0.0:
-            return phase * IDENTITY_2
-        n = v / b
-        sigma_n = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        return phase * (np.cos(b * t) * IDENTITY_2 - 1j * np.sin(b * t) * sigma_n)
-    if h.shape == (4, 4):
-        evals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-    raise ValueError(f"hamiltonian shape {h.shape} unsupported")
+    if h.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"hamiltonian shape {h.shape} unsupported")
+    evals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
 
 def heisenberg_evolve(op, hamiltonian, t) -> np.ndarray:

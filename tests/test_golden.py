@@ -88,6 +88,14 @@ ORACLE_GOLDEN = {
         ("bell-check", "--grid", "30"),
         "825fdcf151a858785c931cb0dba0ff51518a9ab2c3994cd22f403fb32e7af27b",
     ),
+    "transform-curve-n1": (
+        ("transform-curve", "--delta", "1.0471975512", "--n", "1"),
+        "d61eaa07a9d104f1fb6a6934ecc7bad967b332d925379a4519aad02c668820ad",
+    ),
+    "transform-curve-n1-negative-delta": (
+        ("transform-curve", "--delta=-2.0", "--n", "1"),
+        "b680d5e47dbe9c7ce49f2c384fad170e101fe1bc7ec0d0475c10ee1d9add8f1f",
+    ),
     "transform-curve-n7": (
         ("transform-curve", "--delta", "1.0471975512", "--n", "7"),
         "71bac938206dae30c118714075f6bf2caa98d8ab3dd4098b0ce75343ab872579",

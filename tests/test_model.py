@@ -22,6 +22,7 @@ from singlet_lhv.model import (
     orientation_density,
     response,
     responses_for,
+    _branch_arg,
     _wrap,
     sample_orientations,
     wrap_angle,
@@ -132,7 +133,7 @@ def _ulp_neighbourhoods(centres, steps=50):
 
 
 def test_wrap_equals_the_mod_form_on_both_sides_of_its_exactness_bound():
-    # period arithmetic is exact while |x| / 2 pi < 2^28; beyond that np.mod stays
+    # powers of two times pi up to 2^60 pi, their neighbours, and huge magnitudes
     huge = [1e30, -1e30, 1e300, -1e300, 2.0**31, -(2.0**31), 2.0**60, -(2.0**60)]
     centres = [s * 2.0**k * math.pi for k in range(61) for s in (1, -1)]
     _assert_wraps_like_the_mod_form(np.concatenate([_ulp_neighbourhoods(centres), huge]))
@@ -140,7 +141,7 @@ def test_wrap_equals_the_mod_form_on_both_sides_of_its_exactness_bound():
 
 @pytest.mark.parametrize("n", [16, 33, 1000])
 def test_wrap_equals_the_mod_form_around_every_cell_edge(n):
-    # the cell edges k pi / n, and n times their neighbours: the kernel's wrap(n omega)
+    # the cell edges k pi / n, and n times their neighbours: the wrap(n omega) of circle_transform_n
     edges = _ulp_neighbourhoods(np.arange(-n, n + 1) * math.pi / n)
     _assert_wraps_like_the_mod_form(np.concatenate([edges, n * edges]))
 
@@ -184,6 +185,33 @@ def test_transform_never_returns_plus_pi():
     for n in (1, 2, 7):
         t = circle_transform_n(o, d, n)
         assert np.all((t >= -math.pi) & (t < math.pi))
+
+
+# Signs of (cos delta, cos omega, 1) in the arccos argument, one column per
+# branch.  Branch k of omega counts the cuts at or below it, {delta - pi, 0,
+# delta} for delta >= 0; for delta < 0, {delta, 0, delta + pi} and k -> 3 - k.
+_BRANCH_SIGNS = np.array([(-1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)])
+
+
+def _table_branch_arg(o, d):
+    """Reference arccos argument of the n = 1 transform, its signs gathered from a branch table."""
+    neg = d < 0.0
+    k = (o >= np.where(neg, d, d - np.pi)).astype(np.intp)
+    k += o >= 0.0
+    k += o >= np.where(neg, d + np.pi, d)
+    k ^= 3 * neg
+    s_d, s_o, s_1 = (np.take(col, k) for col in _BRANCH_SIGNS)
+    return (s_d * np.cos(d) + s_o * np.cos(o)) + s_1
+
+
+def test_branch_arg_matches_the_branch_table_bit_for_bit_at_the_cuts():
+    # 3 ulps either side of delta - pi, 0, delta and delta + pi, where the branch signs switch
+    special = [0.0, math.pi / 2, -math.pi / 2, -math.pi]
+    delta = np.concatenate([rng(21).uniform(-math.pi, math.pi, 300), special])
+    cuts = wrap_angle(np.stack([delta - math.pi, 0.0 * delta, delta, delta + math.pi], axis=1).ravel())
+    o = np.asarray(wrap_angle(_ulp_neighbourhoods(cuts, steps=3)))
+    d = np.tile(np.repeat(delta, 4), 7)
+    assert _branch_arg(o, d).tobytes() == _table_branch_arg(o, d).tobytes()
 
 
 # ------------------------------------------------------- branch sign
@@ -475,6 +503,19 @@ def test_sampler_cosine_mean_is_centered():
     mean = float(np.mean(np.cos(omega)))
     # Var(cos) = 1/2 under the |sin|/4 density
     assert abs(mean) < 4 * math.sqrt(0.5 / 1_000_000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 1000, 2**20])
+def test_sampler_folds_its_draws_like_the_mod_form(n):
+    # the same draws rebuilt unfolded, sign * acos(u) / n + cell pi / n, then wrapped the reference way
+    g = rng(50 + n)
+    x = np.arccos(2.0 * g.random(200_000) - (1.0 - 2.0**-53))
+    k = g.integers(0, 4 * n, size=x.size)
+    x *= (k & 1) * 2 - 1
+    if n > 1:
+        x /= n
+        x += (k >> 1) * (np.pi / n)
+    assert sample_orientations(rng(50 + n), x.size, n).tobytes() == _mod_form(x).tobytes()
 
 
 # ------------------------------------------------------- measurement

@@ -296,6 +296,11 @@ def test_heisenberg_rejects_non_hermitian():
         heisenberg_evolve(PAULI_X, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_heisenberg_rejects_a_hamiltonian_of_unsupported_dimension():
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+        heisenberg_evolve(np.eye(3), np.eye(3), 1.0)
+
+
 def test_closed_form_matrix_exponential_matches_eigh():
     rng = np.random.default_rng(7)
     from singlet_lhv.quantum import _unitary_exp
