@@ -25,8 +25,9 @@ reference identity it would force the post-selected state onto the
 flight axis, contradicting the in-plane post-selection.  The pairing
 above is the unique one consistent with the defining identities, and
 verify_weak_value_match checks it exactly (closed-form subset averages
-vs. oracle).  Quadrature (coarse_average) is the independent reference
-the tests hold the closed forms to; scipy is imported on its first use.
+vs. oracle).  Those closed forms (subset_averages) are the only runtime
+path; tests/test_hidden_values.py holds the adaptive-quadrature reference
+they are tested against.
 B-side quantities are an extrapolation of the same formulas to the
 B-frame coordinate and are flagged as such in the report.
 """
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import orientation_cdf, wrap_angle
 from .quantum import (
+    AXES,
     OUTCOME_PAIRS,
     bell_state,
     polarization_operator,
@@ -49,7 +50,6 @@ from .quantum import (
 
 MATCH_TOL = 1e-8
 ZERO_MEASURE_TOL = 1e-12
-QUAD_EPSABS = 1e-10
 
 
 class ZeroMeasureSubsetError(ValueError):
@@ -156,40 +156,10 @@ def _checked_measure(subset: CoarseSubset) -> float:
     return den
 
 
-def coarse_average(
-    quantity: Callable[[float], complex],
-    subset: CoarseSubset,
-    *,
-    weighted_integrand: Callable[[float], complex] | None = None,
-    epsabs: float = QUAD_EPSABS,
-) -> complex:
-    """Density-weighted mean of a quantity over one coarse subset.
-
-    Adaptive quadrature of quantity(w) * density(w); pass
-    ``weighted_integrand`` when the product has a bounded closed form
-    that the pointwise factors lack (the cotangent components).  The
-    independent reference for subset_averages; needs scipy.
-    """
-    from scipy.integrate import quad
-
-    den = _checked_measure(subset)
-    if weighted_integrand is None:
-        def weighted_integrand(w, _q=quantity):
-            return _q(w) * 0.25 * abs(math.sin(w))
-
-    num = 0.0 + 0.0j
-    for lo, hi in subset.intervals:
-        if hi - lo <= 0.0:
-            continue
-        re, _ = quad(lambda w: weighted_integrand(w).real, lo, hi, epsabs=epsabs, limit=200)
-        im, _ = quad(lambda w: weighted_integrand(w).imag, lo, hi, epsabs=epsabs, limit=200)
-        num += re + 1j * im
-    return num / den
-
-
 def __getattr__(name):
-    # hidden_values.quad still resolves (the benchmark's tracer wraps it), but
-    # scipy is imported on that first access, not on the CLI start-up path
+    # only for the ("hidden_values", "quad", "scipy") entry of WRAPPED in
+    # perfbench/spans.py, which looks quad up here; scipy is imported on that
+    # access, never at start-up.  Goes with that entry (ROADMAP item 1).
     if name == "quad":
         from scipy.integrate import quad
 
@@ -201,58 +171,18 @@ def _sign(w: float) -> float:
     return 1.0 if w >= 0.0 else -1.0
 
 
-# Quantities paired with the three operators, with bounded g-weighted
-# integrands (|sin| cancels every cotangent pole).
-def quantity_reference(w: float) -> complex:
-    return complex(_sign(w))
-
-
-def _reference_weighted(w: float) -> complex:
-    return complex(0.25 * math.sin(w))
-
-
-def quantity_transverse(w: float) -> complex:
-    """The cotangent component -sign(w) * cot(w) (bare s_flight)."""
-    return complex(-_sign(w) / math.tan(w))
-
-
-def _transverse_weighted(w: float) -> complex:
-    return complex(-0.25 * math.cos(w))
-
-
-def quantity_flight_axis(w: float) -> complex:
-    """-s_perp * s_flight = i * cot(w), the flight-axis pairing."""
-    return 1j / math.tan(w)
-
-
-def _flight_axis_weighted(w: float) -> complex:
-    return 1j * _sign(w) * 0.25 * math.cos(w)
-
-
-def quantity_perp_phasor(w: float) -> complex:
-    """Bare transverse phasor i * s_ref (not paired with an operator)."""
-    return 1j * _sign(w)
-
-
-OPERATOR_QUANTITIES = {
-    "in-plane": (quantity_reference, _reference_weighted),
-    "orthogonal-in-plane": (quantity_transverse, _transverse_weighted),
-    "flight": (quantity_flight_axis, _flight_axis_weighted),
-}
-
-
 def subset_averages(subset: CoarseSubset, measure: float | None = None) -> dict[str, complex]:
-    """Closed-form coarse_average of each operator's quantity over a subset.
+    """Density-weighted mean of each operator's quantity over a subset, in closed form.
 
-    On an interval [lo, hi] on one side of 0, with sign s, the weighted
-    integrands integrate exactly to 0.25 (cos lo - cos hi) (in-plane),
-    -0.25 (sin hi - sin lo) (orthogonal-in-plane) and
-    i s 0.25 (sin hi - sin lo) (flight); they are evaluated in the
-    cancellation-free product forms of those differences.  ``measure``, if
+    On an interval [lo, hi] on one side of 0, with sign s, the quantities
+    times the density 0.25 |sin w| integrate exactly to
+    0.25 (cos lo - cos hi) (in-plane), -0.25 (sin hi - sin lo)
+    (orthogonal-in-plane) and i s 0.25 (sin hi - sin lo) (flight); they are
+    evaluated in the cancellation-free product forms of those differences.  ``measure``, if
     given, is the subset's already checked density measure.
     """
     den = _checked_measure(subset) if measure is None else measure
-    num = dict.fromkeys(OPERATOR_QUANTITIES, 0j)
+    num = dict.fromkeys(AXES, 0j)
     for lo, hi in subset.intervals:
         mid, half = 0.5 * (lo + hi), math.sin(0.5 * (hi - lo))
         dsin = 0.5 * math.cos(mid) * half
@@ -368,8 +298,8 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
     omega_b_ref = wrap_angle(omega_a_ref + d_omega)
     bras = post_selection_bras(omega_a_ref, omega_b_ref)
     ops = {
-        "A": [polarization_operator(omega_a_ref, axis) for axis in OPERATOR_QUANTITIES],
-        "B": [polarization_operator_b(omega_b_ref, axis) for axis in OPERATOR_QUANTITIES],
+        "A": [polarization_operator(omega_a_ref, axis) for axis in AXES],
+        "B": [polarization_operator_b(omega_b_ref, axis) for axis in AXES],
     }
     sides = {"A": partition, "B": b_coarse_partition(delta)}
     rows = {"A": [], "B": []}
@@ -379,7 +309,7 @@ def verify_weak_value_match(phi, delta_omega) -> WeakValueReport:
         for subset in subsets:
             pair = (subset.s_a, subset.s_b) if side == "A" else (subset.s_b, subset.s_a)
             averages = subset_averages(subset, measures[pair])
-            for axis, value in zip(OPERATOR_QUANTITIES, oracle[subset.s_a, subset.s_b]):
+            for axis, value in zip(AXES, oracle[subset.s_a, subset.s_b]):
                 rows[side].append(
                     MatchRow(
                         s_a=subset.s_a,

@@ -93,20 +93,6 @@ def _wrap(x):
     return flat.reshape(x.shape)
 
 
-def circle_distance(a, b):
-    """Absolute distance between two angles measured along the circle."""
-    return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
-def branch_sign(omega, delta):
-    """Sign selector for the transform: -1 where wrap(omega - delta) < 0.
-
-    sign(0) is fixed to +1; at the only point where the choice could
-    matter the arccos factor vanishes, so it is observationally inert.
-    """
-    return _maybe_scalar(np.where(linear_reference(omega, delta) >= 0.0, 1.0, -1.0), omega, delta)
-
-
 def _acos_checked(u):
     bad = max(np.max(u), -np.min(u)) - 1.0 if np.size(u) else 0.0
     if bad > ACOS_CLAMP_TOL:
@@ -131,7 +117,10 @@ def _branch_arg(o, d):
 
 
 def _transform(o, d):
-    """circle_transform of wrapped arrays, unchecked: the arccos signed by branch_sign, never +pi."""
+    """circle_transform of wrapped arrays, unchecked.
+
+    The arccos of _branch_arg, negated on the arc wrap(o - d) < 0; +pi is returned as -pi.
+    """
     rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
     return np.where((rel >= 0.0) & (a < np.pi), a, -a)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -10,18 +11,14 @@ from singlet_lhv.analytic import joint_probabilities
 from singlet_lhv.harness import block_generator
 from singlet_lhv.hidden_values import (
     MATCH_TOL,
-    OPERATOR_QUANTITIES,
     CoarseSubset,
     ZeroMeasureSubsetError,
+    _checked_measure,
+    _sign,
     b_coarse_partition,
-    coarse_average,
     coarse_partition,
     hidden_at_direction,
     hidden_triple,
-    quantity_flight_axis,
-    quantity_perp_phasor,
-    quantity_reference,
-    quantity_transverse,
     subset_averages,
     verify_weak_value_match,
 )
@@ -32,6 +29,7 @@ from singlet_lhv.model import (
     wrap_angle,
 )
 from singlet_lhv.quantum import (
+    AXES,
     PostSelection,
     bell_state,
     embed_a,
@@ -39,6 +37,83 @@ from singlet_lhv.quantum import (
     polarization_operator_b,
     weak_value,
 )
+
+
+# ------------------------------------------- quadrature reference
+
+
+QUAD_EPSABS = 1e-10
+
+
+def coarse_average(
+    quantity: Callable[[float], complex],
+    subset: CoarseSubset,
+    *,
+    weighted_integrand: Callable[[float], complex] | None = None,
+    epsabs: float = QUAD_EPSABS,
+) -> complex:
+    """Density-weighted mean of a quantity over one coarse subset.
+
+    Adaptive quadrature of quantity(w) * density(w); pass
+    ``weighted_integrand`` when the product has a bounded closed form
+    that the pointwise factors lack (the cotangent components).  The
+    independent reference for subset_averages; needs scipy.
+    """
+    from scipy.integrate import quad
+
+    den = _checked_measure(subset)
+    if weighted_integrand is None:
+        def weighted_integrand(w, _q=quantity):
+            return _q(w) * 0.25 * abs(math.sin(w))
+
+    num = 0.0 + 0.0j
+    for lo, hi in subset.intervals:
+        if hi - lo <= 0.0:
+            continue
+        re, _ = quad(lambda w: weighted_integrand(w).real, lo, hi, epsabs=epsabs, limit=200)
+        im, _ = quad(lambda w: weighted_integrand(w).imag, lo, hi, epsabs=epsabs, limit=200)
+        num += re + 1j * im
+    return num / den
+
+
+# Quantities paired with the three operators, with bounded g-weighted
+# integrands (|sin| cancels every cotangent pole).
+def quantity_reference(w: float) -> complex:
+    return complex(_sign(w))
+
+
+def _reference_weighted(w: float) -> complex:
+    return complex(0.25 * math.sin(w))
+
+
+def quantity_transverse(w: float) -> complex:
+    """The cotangent component -sign(w) * cot(w) (bare s_flight)."""
+    return complex(-_sign(w) / math.tan(w))
+
+
+def _transverse_weighted(w: float) -> complex:
+    return complex(-0.25 * math.cos(w))
+
+
+def quantity_flight_axis(w: float) -> complex:
+    """-s_perp * s_flight = i * cot(w), the flight-axis pairing."""
+    return 1j / math.tan(w)
+
+
+def _flight_axis_weighted(w: float) -> complex:
+    return 1j * _sign(w) * 0.25 * math.cos(w)
+
+
+def quantity_perp_phasor(w: float) -> complex:
+    """Bare transverse phasor i * s_ref (not paired with an operator)."""
+    return 1j * _sign(w)
+
+
+OPERATOR_QUANTITIES = {
+    "in-plane": (quantity_reference, _reference_weighted),
+    "orthogonal-in-plane": (quantity_transverse, _transverse_weighted),
+    "flight": (quantity_flight_axis, _flight_axis_weighted),
+}
 
 
 # ------------------------------------------------------------ triple
@@ -228,6 +303,11 @@ def test_closed_form_averages_match_quadrature(delta):
             for axis, (quantity, weighted) in OPERATOR_QUANTITIES.items():
                 want = coarse_average(quantity, s, weighted_integrand=weighted)
                 assert abs(averages[axis] - want) <= 1e-12, (s.s_a, s.s_b, axis)
+
+
+def test_quadrature_pairing_lists_the_operator_axes_in_order():
+    # the closed forms iterate quantum.AXES; the quadrature pairing must name the same axes
+    assert tuple(OPERATOR_QUANTITIES) == AXES
 
 
 def test_closed_form_averages_reject_zero_measure():

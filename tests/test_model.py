@@ -12,8 +12,6 @@ from singlet_lhv.model import (
     HiddenConfig,
     MeasurementSetting,
     b_frame_coordinate,
-    branch_sign,
-    circle_distance,
     circle_transform,
     circle_transform_n,
     linear_reference,
@@ -23,6 +21,7 @@ from singlet_lhv.model import (
     response,
     responses_for,
     _branch_arg,
+    _maybe_scalar,
     _wrap,
     sample_orientations,
     wrap_angle,
@@ -35,6 +34,20 @@ deltas = st.floats(min_value=-math.pi, max_value=math.pi - 1e-9)
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def circle_distance(a, b):
+    """Absolute distance between two angles measured along the circle."""
+    return np.abs(wrap_angle(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+def branch_sign(omega, delta):
+    """Sign selector for the transform: -1 where wrap(omega - delta) < 0.
+
+    sign(0) is fixed to +1; at the only point where the choice could
+    matter the arccos factor vanishes, so it is observationally inert.
+    """
+    return _maybe_scalar(np.where(linear_reference(omega, delta) >= 0.0, 1.0, -1.0), omega, delta)
 
 
 # ---------------------------------------------------------------- wrap
