@@ -37,7 +37,7 @@ from .harness import (
     scan_correlation,
 )
 from .hidden_values import verify_weak_value_match
-from .model import AcosDomainError, MeasurementSetting, wrap_angle
+from .model import MeasurementSetting, wrap_angle
 from .quantum import bell_state, load_operator, path_ensemble
 
 EXIT_OK = 0
@@ -81,71 +81,51 @@ def _delta_grid(spec, degrees):
     return grid
 
 
-def _resolve_out(path):
-    if path is None:
-        return None
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
+def _emit(args, columns, rows, payload=None):
+    """Write the table as CSV, or the payload (the table without one) as JSON.
 
-
-def _config_header(args, parser_dests):
-    # everything that determines the output bytes; the destination path
-    # deliberately excluded so re-runs to new files compare equal
-    resolved = {
-        k: getattr(args, k)
-        for k in sorted(parser_dests)
-        if k != "out" and hasattr(args, k)
-    }
-    resolved["version"] = __version__
-    return json.dumps(resolved, sort_keys=True, default=str)
-
-
-def _emit(args, header, rows=None, columns=None, payload=None):
-    """Write CSV rows or a JSON payload, with the config header embedded."""
-    fmt = args.format
-    buf = io.StringIO()
-    if fmt == "csv":
-        buf.write(f"# effective-config: {header}\n")
+    Either form carries the effective-config header: every parsed option
+    but the destination path, so re-runs to new files compare equal.
+    """
+    config = {k: v for k, v in vars(args).items() if k != "out"}
+    config["version"] = __version__
+    if args.format == "csv":
+        buf = io.StringIO()
+        buf.write(f"# effective-config: {json.dumps(config, sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+        text = buf.getvalue()
     else:
-        body = {"effective_config": json.loads(header)}
-        if payload is not None:
-            body.update(payload)
-        else:
-            body["columns"] = list(columns)
-            body["rows"] = [list(r) for r in rows]
-        buf.write(json.dumps(body, indent=2, sort_keys=True))
-        buf.write("\n")
-    text = buf.getvalue()
-    out = _resolve_out(args.out)
-    if out is None:
+        if payload is None:
+            payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        text = json.dumps({"effective_config": config, **payload}, indent=2, sort_keys=True) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        # join keeps an absolute --out, and a relative one when the variable is unset
+        with open(os.path.join(os.environ.get(OUTDIR_ENV, ""), args.out), "w",
+                  encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _add_common(p, trials_default=1_000_000, phi=True):
-    p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=4, help="worker threads only")
-    p.add_argument("--n", type=int, default=1, help="density index")
-    if phi:
-        p.add_argument("--phi", type=float, default=0.0, help="state phase")
-
-
-def _add_output(p):
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--degrees", action="store_true", help="angle inputs are degrees")
-
-
 def build_parser():
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default=None, help="output path (default stdout)")
+    output.add_argument("--degrees", action="store_true", help="angle inputs are degrees")
+
+    def run(trials):
+        # one parent per default: the parsers built from a parent share its
+        # option objects, so set_defaults on one would reach all of them
+        p = argparse.ArgumentParser(add_help=False, parents=[output])
+        p.add_argument("--trials", type=int, default=trials)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--streams", type=int, default=4, help="worker threads only")
+        p.add_argument("--n", type=int, default=1, help="density index")
+        return p
+
+    monte_carlo = run(1_000_000)
     parser = _Parser(
         prog="singlet-lhv",
         description=__doc__,
@@ -153,73 +133,62 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transform-curve", help="frame-transform curve data")
+    p = sub.add_parser("transform-curve", parents=[output], help="frame-transform curve data")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--grid-points", type=int, default=2001)
-    _add_output(p)
 
-    p = sub.add_parser("correlate", help="Monte Carlo correlation scan")
+    p = sub.add_parser("correlate", parents=[monte_carlo], help="Monte Carlo correlation scan")
     p.add_argument(
         "--delta-grid", required=True,
         help="effective parameters, 'start:stop:count' or 'a,b,c'",
     )
-    _add_common(p, phi=False)
-    _add_output(p)
 
-    p = sub.add_parser("chsh", help="CHSH estimate at three relative angles")
+    p = sub.add_parser("chsh", parents=[run(10_000_000)],
+                       help="CHSH estimate at three relative angles")
     p.add_argument("--d-omega", type=float, required=True)
     p.add_argument("--d-omega-p", type=float, required=True)
     p.add_argument("--d-omega-pp", type=float, required=True)
     p.add_argument("--independent", action="store_true", help="orthodox estimator")
     p.add_argument("--per-trial-distribution", action="store_true")
-    _add_common(p, trials_default=10_000_000)
-    _add_output(p)
+    p.add_argument("--phi", type=float, default=0.0, help="state phase")
 
-    p = sub.add_parser("bell-check", help="two-angle inequality verdict")
+    p = sub.add_parser("bell-check", parents=[output], help="two-angle inequality verdict")
     p.add_argument("--d1", type=float)
     p.add_argument("--d2", type=float)
     p.add_argument("--grid", type=int, default=0, help="emit full violation map")
-    _add_output(p)
 
-    p = sub.add_parser("weak-values", help="subset averages vs oracle weak values")
+    p = sub.add_parser("weak-values", parents=[output], help="subset averages vs oracle weak values")
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--delta-omega", type=float, required=True)
-    _add_output(p)
 
-    p = sub.add_parser("paths", help="post-selection branch probabilities and values")
+    p = sub.add_parser("paths", parents=[output], help="post-selection branch probabilities and values")
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--omega-a", type=float, default=0.0)
     p.add_argument("--omega-b", type=float, required=True)
     p.add_argument("--hamiltonian", required=True, help="operator JSON file")
     p.add_argument("--operators", required=True, help="JSON file of named operators")
     p.add_argument("--times", required=True, help="comma-separated times")
-    _add_output(p)
 
-    p = sub.add_parser("wz", help="random-modulator experiment")
+    p = sub.add_parser("wz", parents=[monte_carlo], help="random-modulator experiment")
     p.add_argument("--d-omega", type=float, default=0.0)
     p.add_argument("--alpha-set", required=True, help="comma-separated angles")
     p.add_argument("--beta-set", required=True, help="comma-separated angles")
     p.add_argument("--dump-records", type=int, default=0, help="first K trial records of the run")
-    _add_common(p)
-    _add_output(p)
+    p.add_argument("--phi", type=float, default=0.0, help="state phase")
 
     return parser
 
 
-def _cmd_transform_curve(args, header):
+def _cmd_transform_curve(args):
     omega, transformed, linear = transform_curve(
         _angle(args.delta, args.degrees), args.grid_points, args.n
     )
-    rows = zip(
-        (float(x) for x in omega),
-        (float(x) for x in transformed),
-        (float(x) for x in linear),
-    )
-    _emit(args, header, rows=rows, columns=("omega", "transformed", "linear_ref"))
+    rows = zip(omega.tolist(), transformed.tolist(), linear.tolist())
+    return ("omega", "transformed", "linear_ref"), rows
 
 
-def _cmd_correlate(args, header):
+def _cmd_correlate(args):
     grid = _delta_grid(args.delta_grid, args.degrees)
     setting = MeasurementSetting(delta_omega=0.0, phi=0.0, n=args.n)
     config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=setting)
@@ -227,10 +196,10 @@ def _cmd_correlate(args, header):
         (row.delta, row.estimate, row.std_error, row.analytic, row.n)
         for row in scan_correlation(grid, config)
     ]
-    _emit(args, header, rows=rows, columns=("delta_rad", "estimate", "std_error", "analytic", "n"))
+    return ("delta_rad", "estimate", "std_error", "analytic", "n"), rows
 
 
-def _cmd_chsh(args, header):
+def _cmd_chsh(args):
     setting = ChshSetting(
         d_omega=_angle(args.d_omega, args.degrees),
         d_omega_p=_angle(args.d_omega_p, args.degrees),
@@ -256,51 +225,40 @@ def _cmd_chsh(args, header):
     }
     if args.per_trial_distribution and result.per_trial_counts is not None:
         payload["per_trial_counts"] = {str(k): v for k, v in result.per_trial_counts.items()}
-    if args.format == "csv":
-        rows = [(k, json.dumps(v) if isinstance(v, dict) else v) for k, v in payload.items()]
-        _emit(args, header, rows=rows, columns=("quantity", "value"))
-    else:
-        _emit(args, header, payload=payload)
+    rows = [(k, json.dumps(v) if isinstance(v, dict) else v) for k, v in payload.items()]
+    return ("quantity", "value"), rows, payload
 
 
-def _cmd_bell_check(args, header):
+def _cmd_bell_check(args):
     if args.grid:
         rows = [
             (d1, d2, lhs, rhs, int(v))
             for d1, d2, lhs, rhs, v in bell_violation_map(args.grid)
         ]
-        _emit(args, header, rows=rows, columns=("d1", "d2", "lhs", "rhs", "violated"))
-        return
+        return ("d1", "d2", "lhs", "rhs", "violated"), rows
     if args.d1 is None or args.d2 is None:
         raise ValueError("bell-check needs both --d1 and --d2, or --grid")
     chk = bell_inequality_sides(_angle(args.d1, args.degrees), _angle(args.d2, args.degrees))
     payload = {"lhs": chk.lhs, "rhs": chk.rhs, "violated": chk.violated}
-    if args.format == "csv":
-        _emit(args, header, rows=[(chk.lhs, chk.rhs, int(chk.violated))],
-              columns=("lhs", "rhs", "violated"))
-    else:
-        _emit(args, header, payload=payload)
+    return ("lhs", "rhs", "violated"), [(chk.lhs, chk.rhs, int(chk.violated))], payload
 
 
-def _cmd_weak_values(args, header):
+def _cmd_weak_values(args):
     report = verify_weak_value_match(
         _angle(args.phi, args.degrees), _angle(args.delta_omega, args.degrees)
     )
-    if args.format == "csv":
-        rows = [
-            (r.s_a, r.s_b, r.operator, r.subsystem,
-             r.model_average.real, r.model_average.imag,
-             r.oracle_weak_value.real, r.oracle_weak_value.imag, r.abs_diff)
-            for r in (*report.comparisons, *report.b_side_comparisons)
-        ]
-        _emit(args, header, rows=rows,
-              columns=("s_a", "s_b", "operator", "subsystem",
-                       "model_re", "model_im", "oracle_re", "oracle_im", "abs_diff"))
-    else:
-        _emit(args, header, payload=report.as_dict())
+    rows = [
+        (r.s_a, r.s_b, r.operator, r.subsystem,
+         r.model_average.real, r.model_average.imag,
+         r.oracle_weak_value.real, r.oracle_weak_value.imag, r.abs_diff)
+        for r in (*report.comparisons, *report.b_side_comparisons)
+    ]
+    columns = ("s_a", "s_b", "operator", "subsystem",
+               "model_re", "model_im", "oracle_re", "oracle_im", "abs_diff")
+    return columns, rows, report.as_dict()
 
 
-def _cmd_paths(args, header):
+def _cmd_paths(args):
     with open(args.operators, "r", encoding="utf-8") as fh:
         named = json.load(fh)
     if not isinstance(named, dict) or not all(isinstance(v, dict) for v in named.values()):
@@ -328,11 +286,10 @@ def _cmd_paths(args, header):
                     (ens.time, br.s_a, br.s_b, br.probability, name,
                      "" if wv is None else wv.real, "" if wv is None else wv.imag)
                 )
-    _emit(args, header, rows=rows,
-          columns=("time", "s_a", "s_b", "probability", "operator", "wv_re", "wv_im"))
+    return ("time", "s_a", "s_b", "probability", "operator", "wv_re", "wv_im"), rows
 
 
-def _cmd_wz(args, header):
+def _cmd_wz(args):
     setting = MeasurementSetting(
         delta_omega=_angle(args.d_omega, args.degrees),
         phi=_angle(args.phi, args.degrees),
@@ -346,10 +303,6 @@ def _cmd_wz(args, header):
         config,
         keep_records=args.dump_records,
     )
-    if args.format == "csv" and args.dump_records:
-        rows = [(r.alpha, r.beta, r.s_a, r.s_b) for r in result.records]
-        _emit(args, header, rows=rows, columns=("alpha_rad", "beta_rad", "s_a", "s_b"))
-        return
     correlations = {
         f"{a:.12g},{b:.12g}": {
             "estimate": est.value,
@@ -374,16 +327,15 @@ def _cmd_wz(args, header):
             for r in result.records
         ],
     }
-    if args.format == "csv":
-        rows = [
-            (pair, c["estimate"], c["std_error"], c["analytic"], c["n"])
-            for pair, c in correlations.items()
-        ]
-        rows.append(("chsh", result.chsh.value, result.chsh.std_error, "", ""))
-        _emit(args, header, rows=rows,
-              columns=("setting", "estimate", "std_error", "analytic", "n"))
-    else:
-        _emit(args, header, payload=payload)
+    if args.dump_records:
+        rows = [(r.alpha, r.beta, r.s_a, r.s_b) for r in result.records]
+        return ("alpha_rad", "beta_rad", "s_a", "s_b"), rows, payload
+    rows = [
+        (pair, c["estimate"], c["std_error"], c["analytic"], c["n"])
+        for pair, c in correlations.items()
+    ]
+    rows.append(("chsh", result.chsh.value, result.chsh.std_error, "", ""))
+    return ("setting", "estimate", "std_error", "analytic", "n"), rows, payload
 
 
 _DISPATCH = {
@@ -398,18 +350,12 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        _emit(args, *_DISPATCH[args.command](args))
+    except SystemExit as exc:  # from parsing: --help, or a usage line already printed
         return int(exc.code or 0)
-    dests = vars(args).keys()
-    header = _config_header(args, dests)
-    try:
-        _DISPATCH[args.command](args, header)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (AcosDomainError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

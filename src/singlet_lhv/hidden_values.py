@@ -113,20 +113,15 @@ def coarse_partition(delta) -> tuple[CoarseSubset, ...]:
     delta < 0, match it up to their zero-density endpoints.
     """
     d = wrap_angle(float(delta))
-    if d >= 0.0:
-        table = {
-            (1, 1): ((0.0, d),),
-            (1, -1): ((d, math.pi),),
-            (-1, 1): ((d - math.pi, 0.0),),
-            (-1, -1): ((-math.pi, d - math.pi),),
-        }
-    else:
-        table = {
-            (1, 1): ((d + math.pi, math.pi),),
-            (1, -1): ((0.0, d + math.pi),),
-            (-1, 1): ((-math.pi, d),),
-            (-1, -1): ((d, 0.0),),
-        }
+    # B's cut pair lo <= 0 <= hi; s, the sign of delta, is B's outcome just above 0
+    s = 1 if d >= 0.0 else -1
+    lo, hi = (d - math.pi, d) if s > 0 else (d, d + math.pi)
+    table = {
+        (1, s): ((0.0, hi),),
+        (1, -s): ((hi, math.pi),),
+        (-1, s): ((lo, 0.0),),
+        (-1, -s): ((-math.pi, lo),),
+    }
     return tuple(
         CoarseSubset(s_a=sa, s_b=sb, intervals=table[(sa, sb)]) for sa, sb in OUTCOME_PAIRS
     )

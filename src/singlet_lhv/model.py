@@ -172,15 +172,15 @@ def circle_transform(omega, delta):
     on the circle, strictly increasing, and satisfies
     |d cos(out)| = |d cos(omega)| on every branch.
     """
-    o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
-    return _maybe_scalar(_transform(o, d), omega, delta)
+    return circle_transform_n(omega, delta)
 
 
 def circle_transform_n(omega, delta, n=1):
     """Frame transform preserving the density |sin(n w)|/4.
 
-    Defined as the linear map plus the n = 1 deviation evaluated on the
-    n-fold covering and scaled down by n:
+    Both angles are wrapped first, at every n, so an input and its
+    wrapped value give the same bits.  Defined as the linear map plus the
+    n = 1 deviation evaluated on the n-fold covering and scaled down by n:
 
         wrap(omega - delta) + wrap(T(wrap(n omega), wrap(n delta)) - wrap(n (omega - delta))) / n
 
@@ -190,9 +190,8 @@ def circle_transform_n(omega, delta, n=1):
     uniformly with deviation bounded by sup|T - linear| / n.
     """
     n = _density_index(n)
-    if n == 1:
-        return circle_transform(omega, delta)
-    out = _transform_n(_as_float_array(omega), _as_float_array(delta), n)
+    o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
+    out = _transform(o, d) if n == 1 else _transform_n(o, d, n)
     return _maybe_scalar(out, omega, delta)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import singlet_lhv
-from singlet_lhv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from singlet_lhv import cli
+from singlet_lhv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,51 @@ def test_bell_check_grid_map(capsys):
     assert any(line.endswith(",1") for line in lines[2:])
 
 
+# Every option of every subcommand with its parsed default, after the least argv it needs.
+PARSED_DEFAULTS = {
+    ("transform-curve", "--delta", "1"): {
+        "command": "transform-curve", "delta": 1.0, "n": 1, "grid_points": 2001,
+        "format": "csv", "out": None, "degrees": False,
+    },
+    ("correlate", "--delta-grid", "0,1"): {
+        "command": "correlate", "delta_grid": "0,1", "trials": 1_000_000, "seed": 0,
+        "streams": 4, "n": 1, "format": "csv", "out": None, "degrees": False,
+    },
+    ("chsh", "--d-omega", "1", "--d-omega-p", "2", "--d-omega-pp", "3"): {
+        "command": "chsh", "d_omega": 1.0, "d_omega_p": 2.0, "d_omega_pp": 3.0,
+        "independent": False, "per_trial_distribution": False, "phi": 0.0,
+        "trials": 10_000_000, "seed": 0, "streams": 4, "n": 1,
+        "format": "csv", "out": None, "degrees": False,
+    },
+    ("bell-check",): {
+        "command": "bell-check", "d1": None, "d2": None, "grid": 0,
+        "format": "csv", "out": None, "degrees": False,
+    },
+    ("weak-values", "--phi", "0.5", "--delta-omega", "1"): {
+        "command": "weak-values", "phi": 0.5, "delta_omega": 1.0,
+        "format": "csv", "out": None, "degrees": False,
+    },
+    ("paths", "--omega-b", "1", "--hamiltonian", "h.json", "--operators", "ops.json",
+     "--times", "0"): {
+        "command": "paths", "phi": 0.0, "omega_a": 0.0, "omega_b": 1.0,
+        "hamiltonian": "h.json", "operators": "ops.json", "times": "0",
+        "format": "csv", "out": None, "degrees": False,
+    },
+    ("wz", "--alpha-set", "0", "--beta-set", "1"): {
+        "command": "wz", "d_omega": 0.0, "alpha_set": "0", "beta_set": "1", "dump_records": 0,
+        "phi": 0.0, "trials": 1_000_000, "seed": 0, "streams": 4, "n": 1,
+        "format": "csv", "out": None, "degrees": False,
+    },
+}
+
+
+def test_every_subcommand_parses_its_options_to_the_pinned_defaults():
+    parser = build_parser()
+    assert {argv[0] for argv in PARSED_DEFAULTS} == set(cli._DISPATCH)
+    for argv, expected in PARSED_DEFAULTS.items():
+        assert vars(parser.parse_args(list(argv))) == expected, argv
+
+
 # --------------------------------------------------------- commands
 
 
@@ -96,6 +142,14 @@ def test_transform_curve_degrees_flag(capsys):
     _, deg = run_cli(capsys, "transform-curve", "--delta", "90", "--degrees", "--grid-points", "11")
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
     assert strip(rad) == strip(deg)
+
+
+def test_transform_curve_of_a_huge_delta_at_n_above_one_is_finite(capsys):
+    code, out = run_cli(capsys, "transform-curve", "--delta=1e308", "--n", "7", "--grid-points", "9")
+    assert code == EXIT_OK
+    rows = list(csv.reader(out.strip().splitlines()[2:]))
+    assert len(rows) == 9 and "nan" not in out
+    assert all(-math.pi <= float(x) < math.pi for row in rows for x in row)
 
 
 def test_correlate_json_schema_and_content(capsys):
@@ -374,7 +428,7 @@ def test_numerical_contract_exit_code(monkeypatch, capsys):
     from singlet_lhv import cli
     from singlet_lhv.model import AcosDomainError
 
-    def broken(args, header):
+    def broken(args):
         raise AcosDomainError("synthetic branch failure")
 
     monkeypatch.setitem(cli._DISPATCH, "bell-check", broken)

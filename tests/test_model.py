@@ -423,6 +423,21 @@ def test_transform_broadcasts_over_parameter_arrays(n):
         assert together[i] == circle_transform_n(float(omega[i]), float(delta[i]), n)
 
 
+@pytest.mark.parametrize("n", [2, 7, 16])
+@pytest.mark.parametrize(
+    "omega, delta",
+    [(0.5 + 6 * math.pi, 1.0), (0.5, -1.0 - 4 * math.pi), (-3.0 - 2 * math.pi, 2.0 + 2 * math.pi),
+     (0.5, 1e6), (1e6, -0.7), (1e300, 1.7e308), (-1.7e308, 0.3), (2.0, -1.7e308)],
+)
+def test_transform_n_of_an_out_of_range_angle_is_that_of_its_wrapped_value(n, omega, delta):
+    # the map is of the circle: no n * omega of an unwrapped input reaches the arithmetic
+    got = circle_transform_n(omega, delta, n)
+    assert repr(got) == repr(circle_transform_n(wrap_angle(omega), wrap_angle(delta), n))
+    assert math.isfinite(got) and -math.pi <= got < math.pi
+    arrays = circle_transform_n(np.array([omega, 0.1]), np.array([delta, delta]), n)
+    assert repr(float(arrays[0])) == repr(got)
+
+
 def test_transform_n_preserves_its_density_in_distribution():
     # pushing g_n samples through the map leaves the distribution fixed
     for n, delta in [(2, math.pi / 3), (7, 2.0)]:
