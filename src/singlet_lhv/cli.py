@@ -73,7 +73,10 @@ def _delta_grid(spec, degrees):
     """Grid spec 'start:stop:count' (inclusive) or comma-separated list."""
     if ":" in spec:
         lo, hi, count = spec.split(":")
-        grid = np.linspace(_angle(lo, degrees), _angle(hi, degrees), max(int(count), 0)).tolist()
+        lo, hi = _angle(lo, degrees), _angle(hi, degrees)
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"--delta-grid {spec!r} spans no finite interval")
+        grid = np.linspace(lo, hi, max(int(count), 0)).tolist()
     else:
         grid = _angle_list(spec, degrees)
     if not grid:

@@ -4,9 +4,9 @@ A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
 (``block_generator``, the only seeding rule).  Inside a block every
-command tallies joint-outcome histograms of exact integer counts in
-CHUNK-trial steps (``_joint_counts``; ``wz`` bins by modulator pair), and
-every estimate comes from one moment rule (``EstimateWithError.of_counts``).
+command tallies joint-outcome histograms of exact integer counts from one
+sort (``_joint_counts``; ``wz``, in CHUNK-trial steps, bins by modulator pair).
+Every estimate comes from one moment rule (``EstimateWithError.of_counts``).
 Neither the chunk size nor the stream count changes a result, and memory
 stays O(BLOCK x streams) whatever the trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
@@ -20,8 +20,6 @@ block 0 are checked against the validated public transform.
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,8 +27,10 @@ import numpy as np
 
 from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
+    CUT_BAND,
     MeasurementSetting,
     _b_positive,
+    _wrap,
     b_frame_coordinate,
     circle_transform_n,
     response,
@@ -41,13 +41,12 @@ from .model import (
 MAX_TALLY_WORKERS = 8
 # Trials per seeded block; a run gets at most one thread per block.
 BLOCK = 250_000
-# Trials per kernel step: 2^13 and 2^16 ran the scan 30-40% slower, 2^15 added 1.3 MB to wz-n RSS.
+# Trials per wz kernel step: 2^15 added 1.3 MB to wz-n RSS.
 CHUNK = 1 << 14
 # Leading trials of block 0 checked against the public transform.  tests/test_kernel.py
 # covers the kernel; this stays only while perfbench traces these calls (ROADMAP item 1).
 SPOT = 256
-# Settings per kernel call on a chunk: 7 ran the 25-point scan 13% faster than 4.
-# At most 7, as a trial's joint-histogram bin is a uint8.
+# Settings per joint histogram: at most 7, as a trial's bin is a uint8.
 ROWS = 7
 
 
@@ -96,6 +95,8 @@ class EstimateWithError:
 
 def block_generator(seed, block) -> np.random.Generator:
     """Philox generator of trial block ``block``, keyed by sha256(seed:block)."""
+    import hashlib  # here, not at the top: commands without Monte Carlo never load it
+
     digest = hashlib.sha256(f"{int(seed)}:{int(block)}".encode("ascii")).digest()
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
@@ -104,6 +105,8 @@ def _map_streams(worker, assignments):
     """Run worker(*assignment) per stream; results in stream order."""
     if len(assignments) <= 1:
         return [worker(*a) for a in assignments]
+    from concurrent.futures import ThreadPoolExecutor  # loaded by multi-stream runs only
+
     with ThreadPoolExecutor(max_workers=min(len(assignments), MAX_TALLY_WORKERS)) as pool:
         return list(pool.map(worker, *zip(*assignments)))
 
@@ -197,19 +200,36 @@ def _joint_counts(omega, column, n):
 
     Group g holds rows [g ROWS, (g + 1) ROWS) of the column; its bin is
     a + 2 b_0 + 4 b_1 + ..., with a = [A = +1] and b_j = [B = +1] at its row
-    j: 2 << ROWS bins of exact counts, tallied CHUNK trials at a time.
+    j: 2 << ROWS bins of exact counts.
+
+    The block is sorted once.  A code changes only at A's cut 0, an exact
+    boundary, or near a cut d + k pi (k = -2..2) of a setting d: r = fl(omega - d)
+    <= 0 exactly when omega <= d, |r| > pi flips within ulps of d -+ pi as fl is
+    monotone, and _b_positive's band test holds only within CUT_BAND of a cut.
+    So the trials within 2 CUT_BAND of a cut go through _b_positive, and the first
+    trial of each run between them stands for the run, counted with its length.
+    _b_positive stays the only outcome rule; the sort only compresses its input.
     """
-    groups = [column[i:i + ROWS] for i in range(0, len(column), ROWS)]
-    hist = np.zeros((len(groups), 2 << ROWS), dtype=np.int64)
-    for lo in range(0, omega.size, CHUNK):
-        o = omega[lo:lo + CHUNK]
-        pos_a = (o >= 0.0).view(np.uint8)
-        for h, rows in zip(hist, groups):
-            code = pos_a.copy()
-            for j, pos_b in enumerate(_b_positive(o, rows, n), start=1):
-                code += pos_b.view(np.uint8) << j
-            h += np.bincount(code, minlength=h.size)
-    return hist
+    s = np.sort(omega)
+    d = _wrap(np.array(column, dtype=float)).ravel()
+    cuts = np.add.outer(np.pi * np.arange(-2, 3), d).ravel()
+    lo = s.searchsorted(cuts - 2 * CUT_BAND, "left")
+    hi = s.searchsorted(cuts + 2 * CUT_BAND, "right")
+    # every trial in a window, and the first of each run: after a window or at A's cut
+    width = hi - lo
+    inside = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
+    idx = np.unique(np.concatenate([[0, s.searchsorted(0.0)], hi, inside]))
+    idx = idx[idx < s.size]
+    weight = np.diff(idx, append=s.size)
+    o = s[idx]
+    pos_a = (o >= 0.0).view(np.uint8)
+    hist = []
+    for i in range(0, len(column), ROWS):
+        code = pos_a.copy()
+        for j, pos_b in enumerate(_b_positive(o, column[i:i + ROWS], n), start=1):
+            code += pos_b.view(np.uint8) << j
+        hist.append(np.bincount(code, weights=weight, minlength=2 << ROWS))
+    return np.array(hist, dtype=np.int64)
 
 
 def _tally(joint, row=0) -> TrialTally:

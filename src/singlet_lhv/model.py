@@ -245,10 +245,13 @@ def sample_orientations(rng, size, n=1):
     omega -= 1.0 - 2.0**-53
     np.arccos(omega, out=omega)
     k = rng.integers(0, 4 * n, size=size)
-    omega *= (k & 1) * 2 - 1  # exact sign: -1 for even k
+    cell = k >> 1 if n > 1 else None
+    np.invert(k, out=k)
+    k <<= 63  # bit 0 of ~k alone: the sign bit, set for even k; exact, as arccos is positive
+    omega.view(np.int64)[...] ^= k
     if n > 1:
         omega /= n
-        omega += (k >> 1) * (np.pi / n)
+        omega += cell * (np.pi / n)
         # pi <= x < 3 pi, so (x + pi) - TWO_PI is exact (Sterbenz): the mod form's bits
         (out,) = (omega >= np.pi).nonzero()
         z = omega[out]

@@ -472,6 +472,16 @@ def test_correlate_empty_grid_is_usage_error(capsys, spec):
     assert "--delta-grid" in captured.err and captured.out == ""
 
 
+def test_correlate_grid_with_an_overflowing_span_is_usage_error(capsys, recwarn):
+    # both ends are finite, but stop - start is not: rejected before numpy sees it
+    spec = "-1.7e308:1.7e308:3"
+    code = main(["correlate", f"--delta-grid={spec}", "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and spec in captured.err
+    assert captured.out == "" and len(recwarn) == 0
+
+
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
 def test_seed_outside_64_unsigned_bits_is_usage_error(capsys, seed):
     code = main(["correlate", "--delta-grid", "0", "--trials", "1000", "--seed", seed])
@@ -603,6 +613,17 @@ def test_cli_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": path}
     probe = "import sys, singlet_lhv.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_does_not_load_the_monte_carlo_only_modules():
+    # hashlib keys the seeded blocks and concurrent.futures runs the streams; the
+    # commands without Monte Carlo must not pay their import at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singlet_lhv.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, singlet_lhv.cli; print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == "[]\n"
 
 
 def _scipy_import_scopes(node, scope):

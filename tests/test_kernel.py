@@ -200,6 +200,47 @@ def test_kernel_sends_exactly_the_band_to_the_transform(monkeypatch, n, shape):
     assert sum(sent) == direct
 
 
+def chunked_joint_counts(omega, column, n):
+    """The pass over every trial, CHUNK trials at a time, that the sorted _joint_counts replaced."""
+    groups = [column[i:i + harness.ROWS] for i in range(0, len(column), harness.ROWS)]
+    hist = np.zeros((len(groups), 2 << harness.ROWS), dtype=np.int64)
+    for lo in range(0, omega.size, harness.CHUNK):
+        o = omega[lo:lo + harness.CHUNK]
+        pos_a = (o >= 0.0).view(np.uint8)
+        for h, rows in zip(hist, groups):
+            code = pos_a.copy()
+            for j, pos_b in enumerate(_b_positive(o, rows, n), start=1):
+                code += pos_b.view(np.uint8) << j
+            h += np.bincount(code, minlength=h.size)
+    return hist
+
+
+def settings_around(values):
+    """The values, their float neighbours and antipodes, and points 0.5 and 1.5 CUT_BAND off them."""
+    v = np.asarray(values, dtype=float)
+    band = model.CUT_BAND * np.array([[0.5], [1.5]])
+    near = [v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf), v + math.pi, v + band, v - band]
+    return np.asarray(wrap_angle(np.concatenate([np.ravel(x) for x in near])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_sorted_joint_counts_equal_the_pass_over_every_trial(n):
+    rng = np.random.Generator(np.random.Philox(key=12))
+    drawn = sample_orientations(rng, 20_000, n)
+    edges = [0.0, -0.0, math.pi, -math.pi, math.pi - 1e-7, 1e-7 - math.pi]
+    settings = np.concatenate([settings_around(np.concatenate([edges, drawn[:4]])), rng.uniform(-3, 3, 6)])
+    # trials in the band around every cut, and repeats of cuts, of A's cut 0 and of -pi
+    planted, _ = band_points(settings)
+    repeats = np.repeat(np.concatenate([settings[:6], wrap_angle(settings[:6] - math.pi)]), 4)
+    omega = rng.permutation(np.concatenate([drawn, planted, repeats]))
+    columns = [settings[:, None]] + [settings[i:i + 1, None] for i in range(settings.size)]
+    for block in (omega, omega[:1], omega[:2], repeats):
+        for column in columns:
+            np.testing.assert_array_equal(
+                harness._joint_counts(block, column, n), chunked_joint_counts(block, column, n)
+            )
+
+
 def run_all(n):
     setting = MeasurementSetting(delta_omega=0.9, phi=0.2, n=n)
     config = RunConfig(trials=70_001, seed=21, streams=2, setting=setting)
