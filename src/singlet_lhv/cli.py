@@ -112,7 +112,49 @@ def _emit(args, columns, rows, payload=None):
             fh.write(text)
 
 
-def build_parser():
+# name: (help, parent, own options); the parent is "output", or a run's trials default
+_COMMANDS = {
+    "transform-curve": ("frame-transform curve data", "output", [
+        ("--delta", {"type": float, "required": True}),
+        ("--n", {"type": int, "default": 1}),
+        ("--grid-points", {"type": int, "default": 2001})]),
+    "correlate": ("Monte Carlo correlation scan", 1_000_000, [
+        ("--delta-grid", {"required": True, "help": "effective parameters, 'start:stop:count' or 'a,b,c'"})]),
+    "chsh": ("CHSH estimate at three relative angles", 10_000_000, [
+        ("--d-omega", {"type": float, "required": True}),
+        ("--d-omega-p", {"type": float, "required": True}),
+        ("--d-omega-pp", {"type": float, "required": True}),
+        ("--independent", {"action": "store_true", "help": "orthodox estimator"}),
+        ("--per-trial-distribution", {"action": "store_true"}),
+        ("--phi", {"type": float, "default": 0.0, "help": "state phase"})]),
+    "bell-check": ("two-angle inequality verdict", "output", [
+        ("--d1", {"type": float}),
+        ("--d2", {"type": float}),
+        ("--grid", {"type": int, "default": 0, "help": "emit full violation map"})]),
+    "weak-values": ("subset averages vs oracle weak values", "output", [
+        ("--phi", {"type": float, "required": True}),
+        ("--delta-omega", {"type": float, "required": True})]),
+    "paths": ("post-selection branch probabilities and values", "output", [
+        ("--phi", {"type": float, "default": 0.0}),
+        ("--omega-a", {"type": float, "default": 0.0}),
+        ("--omega-b", {"type": float, "required": True}),
+        ("--hamiltonian", {"required": True, "help": "operator JSON file"}),
+        ("--operators", {"required": True, "help": "JSON file of named operators"}),
+        ("--times", {"required": True, "help": "comma-separated times"})]),
+    "wz": ("random-modulator experiment", 1_000_000, [
+        ("--d-omega", {"type": float, "default": 0.0}),
+        ("--alpha-set", {"required": True, "help": "comma-separated angles"}),
+        ("--beta-set", {"required": True, "help": "comma-separated angles"}),
+        ("--dump-records", {"type": int, "default": 0, "help": "first K trial records of the run"}),
+        ("--phi", {"type": float, "default": 0.0, "help": "state phase"})]),
+}
+
+
+def build_parser(command=None):
+    """The full parser, or for a known `command` one where only that subcommand has options.
+
+    Every name stays registered, so an argv starting with `command` parses, or
+    fails, as on the full parser, at a fraction of its build cost."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("csv", "json"), default="csv")
     output.add_argument("--out", default=None, help="output path (default stdout)")
@@ -128,58 +170,19 @@ def build_parser():
         p.add_argument("--n", type=int, default=1, help="density index")
         return p
 
-    monte_carlo = run(1_000_000)
-    parser = _Parser(
-        prog="singlet-lhv",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    parser = _Parser(prog="singlet-lhv", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform-curve", parents=[output], help="frame-transform curve data")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--grid-points", type=int, default=2001)
-
-    p = sub.add_parser("correlate", parents=[monte_carlo], help="Monte Carlo correlation scan")
-    p.add_argument(
-        "--delta-grid", required=True,
-        help="effective parameters, 'start:stop:count' or 'a,b,c'",
-    )
-
-    p = sub.add_parser("chsh", parents=[run(10_000_000)],
-                       help="CHSH estimate at three relative angles")
-    p.add_argument("--d-omega", type=float, required=True)
-    p.add_argument("--d-omega-p", type=float, required=True)
-    p.add_argument("--d-omega-pp", type=float, required=True)
-    p.add_argument("--independent", action="store_true", help="orthodox estimator")
-    p.add_argument("--per-trial-distribution", action="store_true")
-    p.add_argument("--phi", type=float, default=0.0, help="state phase")
-
-    p = sub.add_parser("bell-check", parents=[output], help="two-angle inequality verdict")
-    p.add_argument("--d1", type=float)
-    p.add_argument("--d2", type=float)
-    p.add_argument("--grid", type=int, default=0, help="emit full violation map")
-
-    p = sub.add_parser("weak-values", parents=[output], help="subset averages vs oracle weak values")
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--delta-omega", type=float, required=True)
-
-    p = sub.add_parser("paths", parents=[output], help="post-selection branch probabilities and values")
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--omega-a", type=float, default=0.0)
-    p.add_argument("--omega-b", type=float, required=True)
-    p.add_argument("--hamiltonian", required=True, help="operator JSON file")
-    p.add_argument("--operators", required=True, help="JSON file of named operators")
-    p.add_argument("--times", required=True, help="comma-separated times")
-
-    p = sub.add_parser("wz", parents=[monte_carlo], help="random-modulator experiment")
-    p.add_argument("--d-omega", type=float, default=0.0)
-    p.add_argument("--alpha-set", required=True, help="comma-separated angles")
-    p.add_argument("--beta-set", required=True, help="comma-separated angles")
-    p.add_argument("--dump-records", type=int, default=0, help="first K trial records of the run")
-    p.add_argument("--phi", type=float, default=0.0, help="state phase")
-
+    parents = {"output": output}
+    for name, (text, parent, options) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            sub.add_parser(name, help=text, add_help=False)
+            continue
+        if parent not in parents:
+            parents[parent] = run(parent)
+        p = sub.add_parser(name, parents=[parents[parent]], help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -233,6 +236,8 @@ def _cmd_chsh(args):
 
 
 def _cmd_bell_check(args):
+    if args.grid < 0:
+        raise ValueError(f"--grid {args.grid} is negative; 0 means no grid")
     if args.grid:
         rows = [
             (d1, d2, lhs, rhs, int(v))
@@ -353,8 +358,9 @@ _DISPATCH = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         _emit(args, *_DISPATCH[args.command](args))
     except SystemExit as exc:  # from parsing: --help, or a usage line already printed
         return int(exc.code or 0)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import json
@@ -115,6 +116,79 @@ def test_every_subcommand_parses_its_options_to_the_pinned_defaults():
     assert {argv[0] for argv in PARSED_DEFAULTS} == set(cli._DISPATCH)
     for argv, expected in PARSED_DEFAULTS.items():
         assert vars(parser.parse_args(list(argv))) == expected, argv
+
+
+# argv through every way out of parsing: each pinned default, top-level help and
+# errors, a subcommand's parse errors, and each subcommand's help
+PARSE_CASES = [
+    *map(list, PARSED_DEFAULTS),
+    [],
+    ["-h"],
+    ["no-such-command"],
+    ["weak-values", "--phi", "0.5"],
+    ["bell-check", "--bogus"],
+    ["weak-values", "--ph", "0.5", "--delta-om", "1"],
+    ["bell-check", "stray"],
+    *([name, "-h"] for name in cli._DISPATCH),
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "<none>"
+
+
+def _parsed(parser, argv, capsys):
+    """The parsed options, or the exit code and output of an argv that parsing ends."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=_argv_id)
+def test_the_parser_of_the_invoked_subcommand_parses_as_the_full_tree(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    own = _parsed(build_parser(argv[0] if argv else None), argv, capsys)
+    assert own == _parsed(build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=_argv_id)
+def test_main_gives_what_it_gives_with_the_full_tree(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+
+    def outcome():
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert own == outcome()
+
+
+@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+def test_the_parser_of_a_subcommand_gives_options_to_it_alone(command):
+    parser = build_parser(command)
+    (subcommands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subcommands) == list(cli._DISPATCH)
+    assert [name for name, sub in subcommands.items() if sub._actions] == [command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weak-values", "--phi", "0.5", "--delta-omega", "1", "--format", "json"],
+    ["bell-check", "--d1", "1", "--d2", "2"],
+    ["weak-values", "--phi", "1"],
+    ["-h"],
+    [],
+], ids=_argv_id)
+def test_main_without_argv_reads_the_command_line(monkeypatch, capsys, argv):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["singlet-lhv", *argv])
+    code = main()
+    assert (code, capsys.readouterr()) == (main(list(argv)), capsys.readouterr())
 
 
 # --------------------------------------------------------- commands
@@ -456,6 +530,17 @@ def test_weak_values_reads_exponent_form_negative_value(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["effective_config"]["phi"] == -1e-05
+
+
+def test_bell_check_negative_grid_is_usage_error(capsys):
+    code = main(["bell-check", "--grid", "-2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and "--grid" in captured.err
+    assert captured.out == ""
+    # 0 still means no grid: the verdict of the two settings
+    code, out = run_cli(capsys, "bell-check", "--grid", "0", "--d1", "0", "--d2", "0")
+    assert code == EXIT_OK and out.strip().splitlines()[1:] == ["lhs,rhs,violated", "0.0,0.0,0"]
 
 
 def test_bell_check_without_settings_says_why(capsys):
