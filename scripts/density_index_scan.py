@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from singlet_lhv.analytic import correlation, linear_model_correlation
-from singlet_lhv.harness import RunConfig, estimate_correlation
+from singlet_lhv.harness import RunConfig, scan_correlation
 from singlet_lhv.model import MeasurementSetting
 
 
@@ -31,20 +31,20 @@ def main():
     writer.write("n,delta_rad,estimate,std_error,exact,cos_model,sawtooth\n")
     for n in indices:
         worst = worst_exact = 0.0
-        for i, delta in enumerate(grid):
-            cfg = RunConfig(
-                trials=args.trials,
-                seed=args.seed + 1000 * n + i,
-                streams=4,
-                setting=MeasurementSetting.from_delta(delta, n=n),
-            )
-            est = estimate_correlation(cfg)
-            exact, saw = float(correlation(delta, n)), float(linear_model_correlation(delta))
-            worst = max(worst, abs(est.value - saw))
-            worst_exact = max(worst_exact, abs(est.value - exact))
+        cfg = RunConfig(
+            trials=args.trials,
+            seed=args.seed + 1000 * n,
+            streams=4,
+            setting=MeasurementSetting(delta_omega=0.0, n=n),
+        )
+        # one sample set per n, tallied at every grid point; the row's delta wraps pi to -pi
+        for delta, row in zip(grid, scan_correlation(grid, cfg)):
+            saw = float(linear_model_correlation(delta))
+            worst = max(worst, abs(row.estimate - saw))
+            worst_exact = max(worst_exact, abs(row.estimate - row.analytic))
             writer.write(
-                f"{n},{delta:.6f},{est.value:.6f},{est.std_error:.6f},"
-                f"{exact:.6f},{float(correlation(delta)):.6f},{saw:.6f}\n"
+                f"{n},{delta:.6f},{row.estimate:.6f},{row.std_error:.6f},"
+                f"{row.analytic:.6f},{float(correlation(delta)):.6f},{saw:.6f}\n"
             )
         print(f"# n={n}: max |estimate - sawtooth| = {worst:.4f}, "
               f"max |estimate - exact| = {worst_exact:.4f}", file=sys.stderr)

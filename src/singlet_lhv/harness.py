@@ -249,17 +249,9 @@ def _joints(config: RunConfig, settings, first=0):
     return _map_blocks(config, tally_block, first)
 
 
-def _tallies(config: RunConfig, settings, first=0) -> list[list[TrialTally]]:
-    """Per stream, one tally per setting: the settings share the run's sample set."""
-    return [
-        [_tally(part[i // ROWS], i % ROWS) for i in range(len(settings))]
-        for part in _joints(config, settings, first)
-    ]
-
-
 def stream_tallies(config: RunConfig) -> list[TrialTally]:
     """Per-stream partial tallies in stream order; their sum depends on (seed, trials) only."""
-    return [tally for (tally,) in _tallies(config, [config.setting])]
+    return [_tally(joint[0]) for joint in _joints(config, [config.setting])]
 
 
 def tally_outcomes(config: RunConfig) -> TrialTally:
@@ -290,7 +282,8 @@ def scan_correlation(delta_grid: Sequence[float], config: RunConfig) -> list[Sca
     density index.
     """
     settings = [MeasurementSetting.from_delta(delta, n=config.setting.n) for delta in delta_grid]
-    estimates = [sum(tallies, EMPTY_TALLY).estimate() for tallies in zip(*_tallies(config, settings))]
+    joint = sum(_joints(config, settings))
+    estimates = [_tally(joint[i // ROWS], i % ROWS).estimate() for i in range(len(settings))]
     return [
         ScanRow(ms.delta, est.value, est.std_error, float(correlation(ms.delta, ms.n)), est.n)
         for ms, est in zip(settings, estimates)
@@ -325,7 +318,7 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
     if not config.gauge_fixed:
         # fresh trials per term: its own range of block indices
         estimates = [
-            sum((t for (t,) in _tallies(config, [ms], first=k * config.blocks)), EMPTY_TALLY).estimate()
+            _tally(sum(_joints(config, [ms], first=k * config.blocks))[0]).estimate()
             for k, ms in enumerate(settings)
         ]
         return ChshEstimate(_signed_sum(estimates, config.trials), analytic, None, None)

@@ -111,8 +111,8 @@ def _branch_arg(o, d):
     neg = d < 0.0
     lo = np.where(neg, d, d - np.pi)
     hi = np.where(neg, d + np.pi, d)
-    s_d = np.where((o >= lo) & (o < hi), 1.0, -1.0)
-    s_1 = np.where((o >= 0.0) != neg, 1.0, -1.0)
+    s_d = 2.0 * ((o >= lo) & (o < hi)) - 1.0
+    s_1 = 2.0 * ((o >= 0.0) != neg) - 1.0
     return s_d * (np.cos(d) - s_1 * np.cos(o)) + s_1
 
 
@@ -122,7 +122,7 @@ def _transform(o, d):
     The arccos of _branch_arg, negated on the arc wrap(o - d) < 0; +pi is returned as -pi.
     """
     rel, a = _wrap(o - d), _acos_checked(_branch_arg(o, d))
-    return np.where((rel >= 0.0) & (a < np.pi), a, -a)
+    return a * (2.0 * ((rel >= 0.0) & (a < np.pi)) - 1.0)
 
 
 def _transform_n(o, d, n):
@@ -190,7 +190,7 @@ def circle_transform_n(omega, delta, n=1):
     uniformly with deviation bounded by sup|T - linear| / n.
     """
     n = _density_index(n)
-    o, d = np.broadcast_arrays(wrap_angle(omega), wrap_angle(delta))
+    o, d = wrap_angle(omega), wrap_angle(delta)
     out = _transform(o, d) if n == 1 else _transform_n(o, d, n)
     return _maybe_scalar(out, omega, delta)
 
@@ -295,7 +295,7 @@ class MeasurementSetting:
 
     @classmethod
     def from_delta(cls, delta, n=1):
-        return cls(delta_omega=wrap_angle(delta), phi=0.0, n=n)
+        return cls(delta_omega=delta, phi=0.0, n=n)
 
     def rotated(self, extra_rotation: float) -> "MeasurementSetting":
         """Setting after rotating the apparatus by an additional angle.

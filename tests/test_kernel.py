@@ -96,8 +96,7 @@ def test_kernel_takes_a_column_of_settings():
 
 @pytest.mark.parametrize("n", [1, 7])
 @pytest.mark.parametrize("rows", [1, 3, harness.ROWS])
-def test_joint_counts_bin_the_public_outcomes(monkeypatch, n, rows):
-    monkeypatch.setattr(harness, "CHUNK", 1_000)
+def test_joint_counts_bin_the_public_outcomes(n, rows):
     drawn = sample_orientations(np.random.Generator(np.random.Philox(key=6)), 4_321, n)
     omega = np.concatenate([drawn, cut_points(0.4, n)])
     column = np.array([[-2.5], [0.4], [1.9], [-math.pi]])[:rows]
@@ -109,8 +108,7 @@ def test_joint_counts_bin_the_public_outcomes(monkeypatch, n, rows):
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_joint_counts_of_all_scan_settings_equal_the_per_group_histograms(monkeypatch, n):
-    monkeypatch.setattr(harness, "CHUNK", 1_000)
+def test_joint_counts_of_all_scan_settings_equal_the_per_group_histograms(n):
     omega = sample_orientations(np.random.Generator(np.random.Philox(key=7)), 3_333, n)
     column = np.array([[wrap_angle(d)] for d in np.linspace(0.0, 3.14159265, 25)])
     together = harness._joint_counts(omega, column, n)

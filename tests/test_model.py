@@ -423,6 +423,30 @@ def test_transform_broadcasts_over_parameter_arrays(n):
         assert together[i] == circle_transform_n(float(omega[i]), float(delta[i]), n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("form", ["float", "numpy scalar", "0-d", "per-trial", "column"])
+def test_transform_of_delta_at_its_own_shape_has_the_bits_of_a_materialised_delta(n, form):
+    # delta reaches the arithmetic unbroadcast; each element must see what a full array gives it
+    sweep = [0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0), 1.0, -2.5]
+    sweep += [float(_ulps_from(m * math.pi / n, j)) for m in (1, -1, 1 - 2 * (n // 2)) for j in (-1, 0, 1)]
+    omega = np.concatenate([sample_orientations(rng(3), 2_000, n), sweep])
+    if form == "per-trial":
+        cases = [(omega, rng(4).choice(sweep, omega.size))]
+    elif form == "column":
+        cases = [(omega, np.array(sweep)[:, None])]
+    else:
+        make = {"float": float, "numpy scalar": np.float64, "0-d": np.array}[form]
+        cases = [(o, make(d)) for d in sweep for o in (omega, *sweep[:5])]
+    for o, d in cases:
+        shape = np.broadcast_shapes(np.shape(o), np.shape(d))
+        got = circle_transform_n(o, d, n)
+        want = circle_transform_n(o, np.broadcast_to(d, shape).copy(), n)
+        assert np.shape(got) == shape
+        if not shape:
+            assert type(got) is float
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 @pytest.mark.parametrize("n", [2, 7, 16])
 @pytest.mark.parametrize(
     "omega, delta",
