@@ -65,23 +65,31 @@ def _angle(value, degrees):
     return math.radians(x) if degrees else x
 
 
-def _angle_list(text, degrees):
-    return [_angle(tok, degrees) for tok in text.split(",") if tok.strip()]
+def _number_list(option, text, degrees=False):
+    """Comma-separated numbers of `option` (angles if `degrees`); a bad or empty list names it."""
+    try:
+        values = [_angle(tok, degrees) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+    if not values:
+        raise ValueError(f"{option} {text!r} has no values")
+    return values
 
 
 def _delta_grid(spec, degrees):
     """Grid spec 'start:stop:count' (inclusive) or comma-separated list."""
-    if ":" in spec:
+    if ":" not in spec:
+        return _number_list("--delta-grid", spec, degrees)
+    try:
         lo, hi, count = spec.split(":")
-        lo, hi = _angle(lo, degrees), _angle(hi, degrees)
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"--delta-grid {spec!r} spans no finite interval")
-        grid = np.linspace(lo, hi, max(int(count), 0)).tolist()
-    else:
-        grid = _angle_list(spec, degrees)
-    if not grid:
+        lo, hi, count = _angle(lo, degrees), _angle(hi, degrees), int(count)
+    except ValueError:
+        raise ValueError(f"--delta-grid {spec!r} is not 'start:stop:count' (integer count)") from None
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--delta-grid {spec!r} spans no finite interval")
+    if count <= 0:
         raise ValueError(f"--delta-grid {spec!r} has no points")
-    return grid
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _emit(args, columns, rows, payload=None):
@@ -273,9 +281,7 @@ def _cmd_paths(args):
         raise ValueError("--operators must be a JSON object of named operators {dim, re, im}")
     ops = {name: load_operator(spec) for name, spec in named.items()}
     hamiltonian = load_operator(args.hamiltonian)
-    times = [float(t) for t in args.times.split(",") if t.strip()]
-    if not times:
-        raise ValueError(f"--times {args.times!r} has no times")
+    times = _number_list("--times", args.times)
     state = bell_state(_angle(args.phi, args.degrees))
     ensembles = path_ensemble(
         state,
@@ -306,8 +312,8 @@ def _cmd_wz(args):
     config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=setting)
     result = run_weihs_zeilinger(
         setting.phi,
-        _angle_list(args.alpha_set, args.degrees),
-        _angle_list(args.beta_set, args.degrees),
+        _number_list("--alpha-set", args.alpha_set, args.degrees),
+        _number_list("--beta-set", args.beta_set, args.degrees),
         config,
         keep_records=args.dump_records,
     )

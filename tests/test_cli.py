@@ -557,6 +557,29 @@ def test_correlate_empty_grid_is_usage_error(capsys, spec):
     assert "--delta-grid" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["correlate", "--delta-grid=0:1"], "--delta-grid", "0:1"),
+        (["correlate", "--delta-grid=0:1:2.5"], "--delta-grid", "0:1:2.5"),
+        (["correlate", "--delta-grid=0,x"], "--delta-grid", "0,x"),
+        (["wz", "--alpha-set=0", "--beta-set=,y"], "--beta-set", ",y"),
+        (["wz", "--alpha-set=,,", "--beta-set=0"], "--alpha-set", ",,"),
+        (["paths", "--omega-b=1", "--hamiltonian={h}", "--operators={ops}", "--times", "0,x"],
+         "--times", "0,x"),
+    ],
+)
+def test_malformed_list_option_is_usage_error_naming_it(tmp_path, capsys, argv, option, text):
+    ham, ops = tmp_path / "h.json", tmp_path / "ops.json"
+    ham.write_text(json.dumps(_PAULI_Z_SPEC))
+    ops.write_text(json.dumps({"sz": _PAULI_Z_SPEC}))
+    code = main([arg.format(h=ham, ops=ops) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith(f"usage error: {option} {text!r}")
+    assert captured.out == ""
+
+
 def test_correlate_grid_with_an_overflowing_span_is_usage_error(capsys, recwarn):
     # both ends are finite, but stop - start is not: rejected before numpy sees it
     spec = "-1.7e308:1.7e308:3"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlet_lhv import hidden_values
 from singlet_lhv.analytic import joint_probabilities
 from singlet_lhv.harness import block_generator
 from singlet_lhv.hidden_values import (
@@ -333,6 +334,26 @@ def test_weak_value_report_measures_each_a_subset_once(monkeypatch):
     report = verify_weak_value_match(0.3, 1.1)
     assert len(report.comparisons) == len(report.b_side_comparisons) == 12
     assert sorted((s.s_a, s.s_b) for s in calls) == sorted((s.s_a, s.s_b) for s in coarse_partition(report.delta))
+
+
+def test_weak_value_report_averages_each_a_subset_once(monkeypatch):
+    calls = []
+    averages = hidden_values.subset_averages
+    monkeypatch.setattr(hidden_values, "subset_averages", lambda s: calls.append(s) or averages(s))
+    report = verify_weak_value_match(0.3, 1.1)
+    assert len(report.comparisons) == len(report.b_side_comparisons) == 12
+    assert calls == list(coarse_partition(report.delta))
+
+
+@pytest.mark.parametrize(
+    "phi, delta_omega", [(0.0, 0.4), (0.3, 2.9), (0.9, -1.3), (0.37, -2.1), (2.0, -0.1)]
+)
+def test_b_rows_read_the_mirrored_a_average(phi, delta_omega):
+    report = verify_weak_value_match(phi, delta_omega)
+    a_side = {(r.s_a, r.s_b, r.operator): r.model_average for r in report.comparisons}
+    assert len(report.b_side_comparisons) == 12
+    for row in report.b_side_comparisons:
+        assert row.model_average == a_side[row.s_b, row.s_a, row.operator]
 
 
 def test_weak_value_match_at_quarter_turn():
