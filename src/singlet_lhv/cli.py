@@ -57,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

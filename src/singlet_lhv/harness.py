@@ -3,12 +3,15 @@
 A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
-(``block_generator``, the only seeding rule).  Inside a block every
-command tallies joint-outcome histograms of exact integer counts from one
-sort (``_joint_counts``; ``wz``, in CHUNK-trial steps, bins by modulator pair).
-Every estimate comes from one moment rule (``EstimateWithError.of_counts``).
-Neither the chunk size nor the stream count changes a result, and memory
-stays O(BLOCK x streams) whatever the trial count.
+(``block_generator``, the only seeding rule), into buffers that each
+stream allocates once.  Inside a block every command tallies
+joint-outcome histograms of exact integer counts: ``correlate`` and
+``chsh`` from one sort (``_joint_counts``), ``wz`` by modulator pair and
+orientation cell (``_grid_histogram``), where a cell away from every cut
+has one outcome.  Every estimate comes from one moment rule
+(``EstimateWithError.of_counts``).  Neither the cell count nor the stream
+count changes a result, and memory stays O(BLOCK x streams) whatever the
+trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
 same on every platform.
 
@@ -28,6 +31,8 @@ import numpy as np
 from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
     CUT_BAND,
+    TWO_PI,
+    BufferedDraws,
     MeasurementSetting,
     _b_positive,
     _wrap,
@@ -41,8 +46,9 @@ from .model import (
 MAX_TALLY_WORKERS = 8
 # Trials per seeded block; a run gets at most one thread per block.
 BLOCK = 250_000
-# Trials per wz kernel step: 2^15 added 1.3 MB to wz-n RSS.
-CHUNK = 1 << 14
+# Orientation cells of a wz run: each of its P modulator pairs splits the circle
+# into max(1, CELLS // P) cells.
+CELLS = 1 << 14
 # Leading trials of block 0 checked against the public transform.  tests/test_kernel.py
 # covers the kernel; this stays only while perfbench traces these calls (ROADMAP item 1).
 SPOT = 256
@@ -112,17 +118,22 @@ def _map_streams(worker, assignments):
 
 
 def _map_blocks(config: RunConfig, tally_block, first=0):
-    """Per stream, the sum of tally_block(rng, block, count) over its range of blocks.
+    """Per stream, the sum of tally_block(draws, block, count) over its range of blocks.
 
-    Block b draws from block_generator(seed, first + b); ``first`` gives
-    each of several runs under one seed its own block indices.
+    Block b draws from block_generator(seed, first + b), through one
+    BufferedDraws per stream whose buffers every block of the stream reuses;
+    ``first`` gives each of several runs under one seed its own block indices.
     """
     streams = min(config.streams, config.blocks)
     edges = [config.blocks * i // streams for i in range(streams + 1)]
 
     def worker(lo, hi):
+        # omega and scratch in one 4 MB allocation: glibc raises its mmap and trim
+        # thresholds to a freed mapping's size, so after the first run a block's
+        # temporaries stay in the heap instead of faulting in again
+        buffers = np.empty((2, BLOCK))
         return sum(
-            tally_block(block_generator(config.seed, first + b), b,
+            tally_block(BufferedDraws(block_generator(config.seed, first + b), *buffers), b,
                         min(BLOCK, config.trials - b * BLOCK))
             for b in range(lo, hi)
         )
@@ -355,6 +366,57 @@ class WZResult:
         return {pair: t.estimate() for pair, t in self.pair_tallies.items() if t.n > 0}
 
 
+def _cell_codes(pair_delta, n, cells):
+    """wz's joint code 4 p + [A = +1] + 2 [B = +1] per (orientation cell, modulator pair p), or -1.
+
+    Cell j holds the trials whose key floor((omega + pi) cells / 2 pi), at most
+    cells - 1, is j: up to the key's rounding, which moves a trial by ulps, the
+    trials on [-pi + j w, -pi + (j + 1) w) with w = 2 pi / cells.  A cell of a
+    pair is flagged (-1) when, widened by 2 CUT_BAND and a rounding slack, it
+    meets 0, +-pi or a cut d, d -+ pi of the pair's setting d (the images d -+ 2 pi
+    reach only the end cells, which meet -+pi).  In any other cell A is constant, and
+    _b_positive is arc membership (its docstring), which is constant between
+    cuts; so the cell's midpoint gives every trial's code.
+    """
+    edges = np.linspace(-np.pi, np.pi, cells + 1)[:, None, None]
+    cuts = np.concatenate([np.add.outer(pair_delta, np.pi * np.arange(-1, 2)),
+                           np.tile([0.0, -np.pi, np.pi], (pair_delta.size, 1))], axis=1)
+    reach = 2 * CUT_BAND + 1e-9
+    flagged = ((edges[:-1] - reach <= cuts) & (cuts <= edges[1:] + reach)).any(axis=2)
+    mid = 0.5 * (edges[:-1, :, 0] + edges[1:, :, 0])
+    code = 4 * np.arange(pair_delta.size) + (mid >= 0.0) + 2 * _b_positive(mid, pair_delta, n)
+    return np.where(flagged, -1, code)
+
+
+def _grid_histogram(pair, omega, pair_delta, codes, n, work):
+    """Histogram of trials over the keys cell * pairs + pair of _cell_codes.
+
+    A trial in a flagged cell takes _b_positive at its own pair's setting and
+    is binned past the cells, at codes.size + its code.  ``work`` is float
+    scratch of at least omega.size.
+    """
+    cells, pairs = codes.shape
+    t = np.add(omega, np.pi, out=work[:omega.size])
+    t *= cells / TWO_PI
+    key = t.view(np.int64)
+    np.copyto(key, t, casting="unsafe")  # in place, and the floor as t >= 0
+    np.minimum(key, cells - 1, out=key)
+    key *= pairs
+    key += pair
+    (idx,) = (codes < 0).ravel()[key].nonzero()
+    p, o = pair[idx], omega[idx]
+    key[idx] = codes.size + 4 * p + (o >= 0.0) + 2 * _b_positive(o, pair_delta[p], n)
+    return np.bincount(key, minlength=codes.size + 4 * pairs)
+
+
+def _grid_counts(hist, codes):
+    """Joint counts (pairs, 4) of a sum of _grid_histogram."""
+    flat = codes.ravel()
+    counts = hist[flat.size:].copy()
+    np.add.at(counts, flat[flat >= 0], hist[:flat.size][flat >= 0])
+    return counts.reshape(-1, 4)
+
+
 def run_weihs_zeilinger(
     base_phi,
     alpha_choices: Sequence[float],
@@ -387,11 +449,12 @@ def run_weihs_zeilinger(
     offset = config.setting.delta_omega - wrap_angle(base_phi)
     pair_delta = wrap_angle(np.add.outer(offset + np.array(alphas), betas)).ravel()
 
+    codes = _cell_codes(pair_delta, n_index, max(1, CELLS // pair_delta.size))
     records = {}
 
-    def tally_block(rng, block, count):
-        pair = rng.integers(0, pair_delta.size, size=count)
-        omega = sample_orientations(rng, count, n_index)
+    def tally_block(draws, block, count):
+        pair = draws.integers(0, pair_delta.size, size=count)
+        omega = sample_orientations(draws, count, n_index)
         keep = max(0, min(count, keep_records - block * BLOCK))
         head = slice(0, max(keep, SPOT if block == 0 else 0))
         if head.stop:
@@ -402,14 +465,9 @@ def run_weihs_zeilinger(
                 WZTrialRecord(alphas[p // len(betas)], betas[p % len(betas)], response(w), int(s), w)
                 for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
             ]
-        counts = np.zeros(4 * pair_delta.size, dtype=np.int64)
-        for lo in range(0, count, CHUNK):
-            p, o = pair[lo:lo + CHUNK], omega[lo:lo + CHUNK]
-            code = 4 * p + (o >= 0.0) + 2 * _b_positive(o, pair_delta[p], n_index)
-            counts += np.bincount(code, minlength=counts.size)
-        return counts.reshape(-1, 4)
+        return _grid_histogram(pair, omega, pair_delta, codes, n_index, draws.scratch)
 
-    counts = sum(_map_blocks(config, tally_block))
+    counts = _grid_counts(sum(_map_blocks(config, tally_block)), codes)
     pairs = [(a, b) for a in alphas for b in betas]
     pair_tallies = {pair: _tally(c) for pair, c in zip(pairs, counts)}
 

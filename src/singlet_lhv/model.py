@@ -236,30 +236,55 @@ def sample_orientations(rng, size, n=1):
 
     Draw order per call is fixed (u block, then one integer block k in
     [0, 4n) giving sign k & 1 and cell k >> 1), so a seeded generator
-    reproduces the same samples.
+    reproduces the same samples.  ``rng`` is a numpy Generator, or any
+    object with its ``random(size)`` and ``integers(low, high, size)``; from
+    ``BufferedDraws`` the result is its reused ``omega`` buffer.
     """
     n = _density_index(n)
     omega = rng.random(size)
+    work = rng.scratch[:size] if isinstance(rng, BufferedDraws) else np.empty(size)
     # in place, value for value: sign * arccos(2 r - (1 - 2^-53))
     omega *= 2.0
     omega -= 1.0 - 2.0**-53
     np.arccos(omega, out=omega)
     k = rng.integers(0, 4 * n, size=size)
-    cell = k >> 1 if n > 1 else None
-    np.invert(k, out=k)
-    k <<= 63  # bit 0 of ~k alone: the sign bit, set for even k; exact, as arccos is positive
-    omega.view(np.int64)[...] ^= k
+    # sign + for odd k: copysign of the positive arccos is exact, for int64 or uint32 k
+    np.bitwise_and(k, 1, out=work, casting="unsafe")
+    work -= 0.5
+    np.copysign(omega, work, out=omega)
     if n > 1:
+        k >>= 1
+        np.multiply(k, np.pi / n, out=work)
         omega /= n
-        omega += cell * (np.pi / n)
+        omega += work
         # pi <= x < 3 pi, so (x + pi) - TWO_PI is exact (Sterbenz): the mod form's bits
         (out,) = (omega >= np.pi).nonzero()
-        z = omega[out]
+        z = np.take(omega, out, out=work[:out.size], mode="clip")  # "raise" would buffer out
         z += np.pi
         z -= TWO_PI
         z -= np.pi
         omega[out] = z
     return omega
+
+
+class BufferedDraws:
+    """A generator's draws for sample_orientations, written into reused buffers.
+
+    ``random(size)`` fills the head of ``omega``, and ``integers`` draws
+    uint32 where the range fits: the values, and the generator state after,
+    of the Generator's own ``random(size)`` and int64 ``integers``.  The
+    sampler does its float work in ``scratch``, which is free again once it returns.
+    """
+
+    def __init__(self, rng: np.random.Generator, omega: np.ndarray, scratch: np.ndarray):
+        self.rng, self.omega, self.scratch = rng, omega, scratch
+
+    def random(self, size):
+        return self.rng.random(out=self.omega[:size])
+
+    def integers(self, low, high, size):
+        dtype = np.uint32 if high <= 2**32 else np.int64
+        return self.rng.integers(low, high, size=size, dtype=dtype)
 
 
 def sample_hidden(rng, n=1) -> "HiddenConfig":

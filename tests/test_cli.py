@@ -580,6 +580,21 @@ def test_malformed_list_option_is_usage_error_naming_it(tmp_path, capsys, argv, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["weak-values", "--phi", "x", "--delta-omega", "1"], "--phi"),
+        (["correlate", "--delta-grid", "0,1", "--trials", "abc"], "--trials"),
+    ],
+)
+def test_value_argparse_rejects_is_named_after_the_usage(capsys, argv, option):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    usage, _, message = captured.err.partition("usage error: ")
+    assert usage.startswith("usage: singlet-lhv ") and option in message
+
+
 def test_correlate_grid_with_an_overflowing_span_is_usage_error(capsys, recwarn):
     # both ends are finite, but stop - start is not: rejected before numpy sees it
     spec = "-1.7e308:1.7e308:3"

@@ -1,4 +1,5 @@
-"""The chunked outcome kernel against the public transform and an arc oracle."""
+"""The outcome kernel and the tallies built on it, against the public transform, an arc oracle
+and passes over every trial."""
 
 import math
 
@@ -198,12 +199,16 @@ def test_kernel_sends_exactly_the_band_to_the_transform(monkeypatch, n, shape):
     assert sum(sent) == direct
 
 
+# Trials per step of the reference passes over every trial below.
+REFERENCE_CHUNK = 1 << 14
+
+
 def chunked_joint_counts(omega, column, n):
-    """The pass over every trial, CHUNK trials at a time, that the sorted _joint_counts replaced."""
+    """The pass over every trial, in chunks, that the sorted _joint_counts replaced."""
     groups = [column[i:i + harness.ROWS] for i in range(0, len(column), harness.ROWS)]
     hist = np.zeros((len(groups), 2 << harness.ROWS), dtype=np.int64)
-    for lo in range(0, omega.size, harness.CHUNK):
-        o = omega[lo:lo + harness.CHUNK]
+    for lo in range(0, omega.size, REFERENCE_CHUNK):
+        o = omega[lo:lo + REFERENCE_CHUNK]
         pos_a = (o >= 0.0).view(np.uint8)
         for h, rows in zip(hist, groups):
             code = pos_a.copy()
@@ -252,11 +257,57 @@ def run_all(n):
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_chunk_size_does_not_change_any_tally(monkeypatch, n):
+def test_cell_count_does_not_change_any_tally(monkeypatch, n):
     reference = run_all(n)
-    for chunk in (1_000, 4_093, 1 << 20):
-        monkeypatch.setattr(harness, "CHUNK", chunk)
+    for cells in (1, 64, 1 << 14, 1 << 16):
+        monkeypatch.setattr(harness, "CELLS", cells)
         assert run_all(n) == reference
+
+
+def chunked_wz_counts(pair, omega, pair_delta, n):
+    """wz's joint counts (pairs, 4) from _b_positive on every trial, in chunks, as before the grid."""
+    counts = np.zeros(4 * pair_delta.size, dtype=np.int64)
+    for lo in range(0, omega.size, REFERENCE_CHUNK):
+        p, o = pair[lo:lo + REFERENCE_CHUNK], omega[lo:lo + REFERENCE_CHUNK]
+        code = 4 * p + (o >= 0.0) + 2 * _b_positive(o, pair_delta[p], n)
+        counts += np.bincount(code, minlength=counts.size)
+    return counts.reshape(-1, 4)
+
+
+def grid_counts(pair, omega, pair_delta, n):
+    codes = harness._cell_codes(pair_delta, n, max(1, harness.CELLS // pair_delta.size))
+    hist = harness._grid_histogram(pair, omega, pair_delta, codes, n, np.empty(omega.size))
+    return harness._grid_counts(hist, codes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("pairs", [1, 4, 900])
+def test_grid_tally_equals_the_pass_over_every_trial(n, pairs):
+    rng = np.random.Generator(np.random.Philox(key=13))
+    special = [0.0, -math.pi, math.pi / 2, -math.pi / 2, math.pi - 1e-7, 1e-7 - math.pi]
+    drawn_delta = rng.uniform(-math.pi, math.pi, pairs)
+    pair_delta = np.asarray(wrap_angle(np.concatenate([special, drawn_delta])))[:pairs]
+    cells = max(1, harness.CELLS // pairs)
+    # per pair: its cuts, A's cut +-0 and the ends of the circle, each also 0.5 and 1.5 CUT_BAND off,
+    # then the cell edges and the points where the key's floor steps
+    cuts = np.concatenate([np.add.outer(pair_delta, math.pi * np.arange(-1, 2)),
+                           np.tile([0.0, -0.0, -math.pi, math.pi], (pairs, 1))], axis=1)
+    near_cuts = (cuts[:, :, None] + model.CUT_BAND * np.array([0.0, 0.5, -0.5, 1.5, -1.5])).reshape(pairs, -1)
+    edges = np.concatenate([np.linspace(-math.pi, math.pi, cells + 1),
+                            np.arange(cells + 1) * (2 * math.pi / cells) - math.pi])
+    points = np.concatenate([near_cuts, np.tile(edges, (pairs, 1))], axis=1)
+    # each point and its float neighbours, wrapped, at its own pair
+    points = np.stack([points, np.nextafter(points, 4.0), np.nextafter(points, -4.0)], axis=2)
+    planted = np.asarray(wrap_angle(points.ravel()))
+    planted_pair = np.repeat(np.arange(pairs), points[0].size)
+    drawn = sample_orientations(rng, 20_000, n)
+    omega = np.concatenate([drawn, planted])
+    pair = np.concatenate([rng.integers(0, pairs, size=drawn.size), planted_pair]).astype(np.uint32)
+    order = rng.permutation(omega.size)
+    omega, pair = omega[order], pair[order]
+    np.testing.assert_array_equal(
+        grid_counts(pair, omega, pair_delta, n), chunked_wz_counts(pair, omega, pair_delta, n)
+    )
 
 
 def test_spot_check_stops_a_wrong_kernel(monkeypatch):

@@ -9,6 +9,7 @@ from scipy.stats import kstest
 
 from singlet_lhv.model import (
     AcosDomainError,
+    BufferedDraws,
     HiddenConfig,
     MeasurementSetting,
     b_frame_coordinate,
@@ -568,6 +569,37 @@ def test_sampler_folds_its_draws_like_the_mod_form(n):
         x /= n
         x += (k >> 1) * (np.pi / n)
     assert sample_orientations(rng(50 + n), x.size, n).tobytes() == _mod_form(x).tobytes()
+
+
+def plain_values(state):
+    """A bit generator's state dict with its arrays as lists, for ==."""
+    if isinstance(state, dict):
+        return {k: plain_values(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("high", [3, 4, 6, 28])
+def test_buffered_uint32_draws_equal_int64_draws(high):
+    plain, buffered = rng(60), rng(60)
+    draws = BufferedDraws(buffered, np.empty(1), np.empty(1))
+    for size in (7, 30_001, 250_000, 1):
+        k = draws.integers(0, high, size)
+        assert k.dtype == np.uint32
+        np.testing.assert_array_equal(k, plain.integers(0, high, size=size))
+        # the generator's buffered 32-bit half carries over into the next draws alike
+        assert plain.random(3).tobytes() == buffered.random(3).tobytes()
+    assert plain_values(plain.bit_generator.state) == plain_values(buffered.bit_generator.state)
+    assert draws.integers(0, 2**32 + 1, 3).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2**31])
+def test_consecutive_blocks_on_reused_buffers_give_the_bytes_of_fresh_calls(n):
+    omega, scratch = np.empty(30_001), np.empty(30_001)
+    for seed, size in ((61, 30_001), (62, 7), (63, 30_001)):
+        fresh = sample_orientations(rng(seed), size, n)
+        buffered = sample_orientations(BufferedDraws(rng(seed), omega, scratch), size, n)
+        assert np.shares_memory(buffered, omega)
+        assert buffered.tobytes() == fresh.tobytes()
 
 
 # ------------------------------------------------------- measurement
