@@ -61,6 +61,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_from(low, below=None):
+    """argparse type: an int in [low, below), so that argparse names the option of a bad one."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a malformed value reads "invalid int value: 'x'", as for int
+    return parse
+
+
 def _angle(value, degrees):
     x = float(value)
     return math.radians(x) if degrees else x
@@ -125,8 +139,8 @@ def _emit(args, columns, rows, payload=None):
 _COMMANDS = {
     "transform-curve": ("frame-transform curve data", "output", [
         ("--delta", {"type": float, "required": True}),
-        ("--n", {"type": int, "default": 1}),
-        ("--grid-points", {"type": int, "default": 2001})]),
+        ("--n", {"type": _int_from(1), "default": 1}),
+        ("--grid-points", {"type": _int_from(2), "default": 2001})]),
     "correlate": ("Monte Carlo correlation scan", 1_000_000, [
         ("--delta-grid", {"required": True, "help": "effective parameters, 'start:stop:count' or 'a,b,c'"})]),
     "chsh": ("CHSH estimate at three relative angles", 10_000_000, [
@@ -139,7 +153,7 @@ _COMMANDS = {
     "bell-check": ("two-angle inequality verdict", "output", [
         ("--d1", {"type": float}),
         ("--d2", {"type": float}),
-        ("--grid", {"type": int, "default": 0, "help": "emit full violation map"})]),
+        ("--grid", {"type": _int_from(0), "default": 0, "help": "emit full violation map"})]),
     "weak-values": ("subset averages vs oracle weak values", "output", [
         ("--phi", {"type": float, "required": True}),
         ("--delta-omega", {"type": float, "required": True})]),
@@ -154,7 +168,8 @@ _COMMANDS = {
         ("--d-omega", {"type": float, "default": 0.0}),
         ("--alpha-set", {"required": True, "help": "comma-separated angles"}),
         ("--beta-set", {"required": True, "help": "comma-separated angles"}),
-        ("--dump-records", {"type": int, "default": 0, "help": "first K trial records of the run"}),
+        ("--dump-records", {"type": _int_from(0), "default": 0,
+                            "help": "first K trial records of the run"}),
         ("--phi", {"type": float, "default": 0.0, "help": "state phase"})]),
 }
 
@@ -173,10 +188,10 @@ def build_parser(command=None):
         # one parent per default: the parsers built from a parent share its
         # option objects, so set_defaults on one would reach all of them
         p = argparse.ArgumentParser(add_help=False, parents=[output])
-        p.add_argument("--trials", type=int, default=trials)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--streams", type=int, default=4, help="worker threads only")
-        p.add_argument("--n", type=int, default=1, help="density index")
+        p.add_argument("--trials", type=_int_from(1), default=trials)
+        p.add_argument("--seed", type=_int_from(0, 2**64), default=0)
+        p.add_argument("--streams", type=_int_from(1), default=4, help="worker threads only")
+        p.add_argument("--n", type=_int_from(1), default=1, help="density index")
         return p
 
     parser = _Parser(prog="singlet-lhv", description=__doc__,
@@ -245,8 +260,6 @@ def _cmd_chsh(args):
 
 
 def _cmd_bell_check(args):
-    if args.grid < 0:
-        raise ValueError(f"--grid {args.grid} is negative; 0 means no grid")
     if args.grid:
         rows = [
             (d1, d2, lhs, rhs, int(v))

@@ -3,9 +3,9 @@
 A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
 from its own counter-based Philox generator keyed by sha256(seed:b)
-(``block_generator``, the only seeding rule), into buffers that each
-stream allocates once.  Inside a block every command tallies
-joint-outcome histograms of exact integer counts: ``correlate`` and
+(``block_generator``, the only seeding rule), through the public
+``sample_orientations``, the only draw path.  Inside a block every command
+tallies joint-outcome histograms of exact integer counts: ``correlate`` and
 ``chsh`` from one sort (``_joint_counts``), ``wz`` by modulator pair and
 orientation cell (``_grid_histogram``), where a cell away from every cut
 has one outcome.  Every estimate comes from one moment rule
@@ -32,7 +32,6 @@ from .analytic import ChshSetting, chsh_expectation, correlation
 from .model import (
     CUT_BAND,
     TWO_PI,
-    BufferedDraws,
     MeasurementSetting,
     _b_positive,
     _wrap,
@@ -118,22 +117,24 @@ def _map_streams(worker, assignments):
 
 
 def _map_blocks(config: RunConfig, tally_block, first=0):
-    """Per stream, the sum of tally_block(draws, block, count) over its range of blocks.
+    """Per stream, the sum of tally_block(rng, block, count) over its range of blocks.
 
-    Block b draws from block_generator(seed, first + b), through one
-    BufferedDraws per stream whose buffers every block of the stream reuses;
-    ``first`` gives each of several runs under one seed its own block indices.
+    Block b draws from rng = block_generator(seed, first + b); ``first`` gives
+    each of several runs under one seed its own block indices.
     """
     streams = min(config.streams, config.blocks)
     edges = [config.blocks * i // streams for i in range(streams + 1)]
 
     def worker(lo, hi):
-        # omega and scratch in one 4 MB allocation: glibc raises its mmap and trim
-        # thresholds to a freed mapping's size, so after the first run a block's
-        # temporaries stay in the heap instead of faulting in again
-        buffers = np.empty((2, BLOCK))
+        # Allocated and freed at once, to keep blocks fault-free: freeing a 4 MB
+        # mapping raises glibc's mmap threshold to 4 MB and its trim threshold to
+        # 8 MB (mallopt(3), "dynamic mmap threshold"), so a block's arrays, all
+        # below 4 MB, come from the heap and stay there between blocks.  Minor
+        # faults per warm call at the benchmark's sizes: 3-4 on scan, chsh and
+        # wz-n with this line; 11k-29k on wz-n without it, at 1.2-1.8 times the time.
+        np.empty((2, BLOCK))
         return sum(
-            tally_block(BufferedDraws(block_generator(config.seed, first + b), *buffers), b,
+            tally_block(block_generator(config.seed, first + b), b,
                         min(BLOCK, config.trials - b * BLOCK))
             for b in range(lo, hi)
         )
@@ -388,15 +389,14 @@ def _cell_codes(pair_delta, n, cells):
     return np.where(flagged, -1, code)
 
 
-def _grid_histogram(pair, omega, pair_delta, codes, n, work):
+def _grid_histogram(pair, omega, pair_delta, codes, n):
     """Histogram of trials over the keys cell * pairs + pair of _cell_codes.
 
     A trial in a flagged cell takes _b_positive at its own pair's setting and
-    is binned past the cells, at codes.size + its code.  ``work`` is float
-    scratch of at least omega.size.
+    is binned past the cells, at codes.size + its code.
     """
     cells, pairs = codes.shape
-    t = np.add(omega, np.pi, out=work[:omega.size])
+    t = omega + np.pi
     t *= cells / TWO_PI
     key = t.view(np.int64)
     np.copyto(key, t, casting="unsafe")  # in place, and the floor as t >= 0
@@ -452,9 +452,9 @@ def run_weihs_zeilinger(
     codes = _cell_codes(pair_delta, n_index, max(1, CELLS // pair_delta.size))
     records = {}
 
-    def tally_block(draws, block, count):
-        pair = draws.integers(0, pair_delta.size, size=count)
-        omega = sample_orientations(draws, count, n_index)
+    def tally_block(rng, block, count):
+        pair = rng.integers(0, pair_delta.size, size=count, dtype=np.uint32)
+        omega = sample_orientations(rng, count, n_index)
         keep = max(0, min(count, keep_records - block * BLOCK))
         head = slice(0, max(keep, SPOT if block == 0 else 0))
         if head.stop:
@@ -465,7 +465,7 @@ def run_weihs_zeilinger(
                 WZTrialRecord(alphas[p // len(betas)], betas[p % len(betas)], response(w), int(s), w)
                 for p, w, s in zip(pair[:keep].tolist(), omega[:keep].tolist(), s_b)
             ]
-        return _grid_histogram(pair, omega, pair_delta, codes, n_index, draws.scratch)
+        return _grid_histogram(pair, omega, pair_delta, codes, n_index)
 
     counts = _grid_counts(sum(_map_blocks(config, tally_block)), codes)
     pairs = [(a, b) for a in alphas for b in betas]

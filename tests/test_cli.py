@@ -406,7 +406,7 @@ def test_wz_negative_dump_records_is_usage_error(capsys, fmt):
                  "--dump-records", "-3", "--format", fmt])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.err.startswith("usage error:") and "keep_records" in captured.err
+    assert "usage error: argument --dump-records: must be at least 0, got -3" in captured.err
     assert captured.out == ""
 
 
@@ -536,7 +536,7 @@ def test_bell_check_negative_grid_is_usage_error(capsys):
     code = main(["bell-check", "--grid", "-2"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert captured.err.startswith("usage error:") and "--grid" in captured.err
+    assert "usage error: argument --grid: must be at least 0, got -2" in captured.err
     assert captured.out == ""
     # 0 still means no grid: the verdict of the two settings
     code, out = run_cli(capsys, "bell-check", "--grid", "0", "--d1", "0", "--d2", "0")
@@ -610,7 +610,7 @@ def test_seed_outside_64_unsigned_bits_is_usage_error(capsys, seed):
     code = main(["correlate", "--delta-grid", "0", "--trials", "1000", "--seed", seed])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "seed must fit in 64 unsigned bits" in captured.err and captured.out == ""
+    assert "usage error: argument --seed: must be " in captured.err and captured.out == ""
 
 
 def test_largest_64_bit_seed_runs(capsys):
@@ -687,6 +687,50 @@ def test_non_finite_angle_is_usage_error(tmp_path, capsys, command, option, valu
     assert code == EXIT_USAGE
     assert captured.err.startswith("usage error:")
     assert captured.out == ""
+
+
+# an out-of-range value of every int option, shared run options included
+_OUT_OF_RANGE = {
+    "--n": ["0"], "--grid-points": ["1"], "--grid": ["-1"], "--dump-records": ["-1"],
+    "--trials": ["0"], "--streams": ["0"], "--seed": ["-1", str(2**64)],
+}
+
+
+def _typed_options():
+    """(command, option, type) of every option with a type=, read from each command's parser."""
+    for command in cli._COMMANDS:
+        (commands,) = [a for a in build_parser(command)._actions if a.dest == "command"]
+        for action in commands.choices[command]._actions:
+            if action.type is not None:
+                yield command, action.option_strings[0], action.type
+
+
+def _bad_values():
+    """"x" for every typed option; for an int option also "1.5" and its out-of-range values."""
+    for command, option, type_ in _typed_options():
+        int_values = ["1.5", *_OUT_OF_RANGE.get(option, [])] if isinstance(type_("7"), int) else []
+        for value in ["x", *int_values]:
+            yield command, option, value
+
+
+def test_every_int_option_has_an_out_of_range_value():
+    ints = {option for _, option, type_ in _typed_options() if isinstance(type_("7"), int)}
+    assert ints == set(_OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("command, option, value", list(_bad_values()))
+def test_bad_value_of_a_typed_option_is_named_after_the_usage(tmp_path, capsys, command, option,
+                                                              value):
+    ham, ops = tmp_path / "h.json", tmp_path / "ops.json"
+    ham.write_text(json.dumps(_PAULI_Z_SPEC))
+    ops.write_text(json.dumps({"sz": _PAULI_Z_SPEC}))
+    base = [arg.format(h=ham, ops=ops) for arg in _ANGLE_OPTIONS[command][0]]
+    code = main([command, *base, f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    usage, _, message = captured.err.partition("usage error: ")
+    assert usage.startswith(f"usage: singlet-lhv {command} ")
+    assert message.startswith(f"argument {option}: ")
 
 
 @pytest.mark.parametrize(

@@ -276,7 +276,7 @@ def chunked_wz_counts(pair, omega, pair_delta, n):
 
 def grid_counts(pair, omega, pair_delta, n):
     codes = harness._cell_codes(pair_delta, n, max(1, harness.CELLS // pair_delta.size))
-    hist = harness._grid_histogram(pair, omega, pair_delta, codes, n, np.empty(omega.size))
+    hist = harness._grid_histogram(pair, omega, pair_delta, codes, n)
     return harness._grid_counts(hist, codes)
 
 
