@@ -86,6 +86,13 @@ class BellCheck:
     violated: bool
 
 
+def _bell_sides(d1, d2):
+    """lhs, rhs and verdict of |E(d1) - E(d2)| <= 1 + E(d2 - d1), at floats or equal-shape arrays."""
+    lhs = np.abs(correlation(d1) - correlation(d2))
+    rhs = 1.0 + correlation(wrap_angle(d2 - d1))
+    return lhs, rhs, lhs > rhs + VIOLATION_TOL
+
+
 def bell_inequality_sides(d1, d2) -> BellCheck:
     """Two-angle Bell inequality |E(d1) - E(d2)| <= 1 + E(d2 - d1).
 
@@ -95,19 +102,15 @@ def bell_inequality_sides(d1, d2) -> BellCheck:
     d2 = float(d2)
     if not (0.0 <= d1 <= d2 <= np.pi):
         raise ValueError(f"require 0 <= d1 <= d2 <= pi, got ({d1!r}, {d2!r})")
-    lhs = float(abs(correlation(d1) - correlation(d2)))
-    rhs = float(1.0 + correlation(wrap_angle(d2 - d1)))
-    return BellCheck(lhs=lhs, rhs=rhs, violated=lhs > rhs + VIOLATION_TOL)
+    lhs, rhs, violated = _bell_sides(d1, d2)
+    return BellCheck(lhs=float(lhs), rhs=float(rhs), violated=bool(violated))
 
 
 def bell_violation_map(points=60):
     """Scan the ordered (d1, d2) triangle; rows (d1, d2, lhs, rhs, violated)."""
     grid = np.linspace(0.0, np.pi, points)
     d1, d2 = (grid[k] for k in np.triu_indices(points))
-    # the arithmetic of bell_inequality_sides, over the whole triangle at once
-    lhs = np.abs(correlation(d1) - correlation(d2))
-    rhs = 1.0 + correlation(wrap_angle(d2 - d1))
-    violated = lhs > rhs + VIOLATION_TOL
+    lhs, rhs, violated = _bell_sides(d1, d2)
     return list(zip(d1.tolist(), d2.tolist(), lhs.tolist(), rhs.tolist(), violated.tolist()))
 
 

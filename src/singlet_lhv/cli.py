@@ -75,19 +75,31 @@ def _int_from(low, below=None):
     return parse
 
 
+def _finite(text):
+    """argparse type: a finite float, so that argparse names the option of a nan or inf."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+_finite.__name__ = "float"  # a malformed value reads "invalid float value: 'x'", as for float
+
+
 def _angle(value, degrees):
     x = float(value)
     return math.radians(x) if degrees else x
 
 
-def _number_list(option, text, degrees=False):
-    """Comma-separated numbers of `option` (angles if `degrees`); a bad or empty list names it."""
+def _number_list(option, text, degrees=False, kind="angle"):
+    """Comma-separated numbers of `option` (angles if `degrees`); a bad, empty or non-finite list names it."""
     try:
         values = [_angle(tok, degrees) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"{option} {text!r}: {exc}") from None
     if not values:
         raise ValueError(f"{option} {text!r} has no values")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{option} {text!r}: non-finite {kind}")
     return values
 
 
@@ -135,81 +147,6 @@ def _emit(args, columns, rows, payload=None):
             fh.write(text)
 
 
-# name: (help, parent, own options); the parent is "output", or a run's trials default
-_COMMANDS = {
-    "transform-curve": ("frame-transform curve data", "output", [
-        ("--delta", {"type": float, "required": True}),
-        ("--n", {"type": _int_from(1), "default": 1}),
-        ("--grid-points", {"type": _int_from(2), "default": 2001})]),
-    "correlate": ("Monte Carlo correlation scan", 1_000_000, [
-        ("--delta-grid", {"required": True, "help": "effective parameters, 'start:stop:count' or 'a,b,c'"})]),
-    "chsh": ("CHSH estimate at three relative angles", 10_000_000, [
-        ("--d-omega", {"type": float, "required": True}),
-        ("--d-omega-p", {"type": float, "required": True}),
-        ("--d-omega-pp", {"type": float, "required": True}),
-        ("--independent", {"action": "store_true", "help": "orthodox estimator"}),
-        ("--per-trial-distribution", {"action": "store_true"}),
-        ("--phi", {"type": float, "default": 0.0, "help": "state phase"})]),
-    "bell-check": ("two-angle inequality verdict", "output", [
-        ("--d1", {"type": float}),
-        ("--d2", {"type": float}),
-        ("--grid", {"type": _int_from(0), "default": 0, "help": "emit full violation map"})]),
-    "weak-values": ("subset averages vs oracle weak values", "output", [
-        ("--phi", {"type": float, "required": True}),
-        ("--delta-omega", {"type": float, "required": True})]),
-    "paths": ("post-selection branch probabilities and values", "output", [
-        ("--phi", {"type": float, "default": 0.0}),
-        ("--omega-a", {"type": float, "default": 0.0}),
-        ("--omega-b", {"type": float, "required": True}),
-        ("--hamiltonian", {"required": True, "help": "operator JSON file"}),
-        ("--operators", {"required": True, "help": "JSON file of named operators"}),
-        ("--times", {"required": True, "help": "comma-separated times"})]),
-    "wz": ("random-modulator experiment", 1_000_000, [
-        ("--d-omega", {"type": float, "default": 0.0}),
-        ("--alpha-set", {"required": True, "help": "comma-separated angles"}),
-        ("--beta-set", {"required": True, "help": "comma-separated angles"}),
-        ("--dump-records", {"type": _int_from(0), "default": 0,
-                            "help": "first K trial records of the run"}),
-        ("--phi", {"type": float, "default": 0.0, "help": "state phase"})]),
-}
-
-
-def build_parser(command=None):
-    """The full parser, or for a known `command` one where only that subcommand has options.
-
-    Every name stays registered, so an argv starting with `command` parses, or
-    fails, as on the full parser, at a fraction of its build cost."""
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("csv", "json"), default="csv")
-    output.add_argument("--out", default=None, help="output path (default stdout)")
-    output.add_argument("--degrees", action="store_true", help="angle inputs are degrees")
-
-    def run(trials):
-        # one parent per default: the parsers built from a parent share its
-        # option objects, so set_defaults on one would reach all of them
-        p = argparse.ArgumentParser(add_help=False, parents=[output])
-        p.add_argument("--trials", type=_int_from(1), default=trials)
-        p.add_argument("--seed", type=_int_from(0, 2**64), default=0)
-        p.add_argument("--streams", type=_int_from(1), default=4, help="worker threads only")
-        p.add_argument("--n", type=_int_from(1), default=1, help="density index")
-        return p
-
-    parser = _Parser(prog="singlet-lhv", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parents = {"output": output}
-    for name, (text, parent, options) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
-            sub.add_parser(name, help=text, add_help=False)
-            continue
-        if parent not in parents:
-            parents[parent] = run(parent)
-        p = sub.add_parser(name, parents=[parents[parent]], help=text)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-    return parser
-
-
 def _cmd_transform_curve(args):
     omega, transformed, linear = transform_curve(
         _angle(args.delta, args.degrees), args.grid_points, args.n
@@ -236,13 +173,8 @@ def _cmd_chsh(args):
         d_omega_pp=_angle(args.d_omega_pp, args.degrees),
     )
     ms = MeasurementSetting(delta_omega=0.0, phi=_angle(args.phi, args.degrees), n=args.n)
-    config = RunConfig(
-        trials=args.trials,
-        seed=args.seed,
-        streams=args.streams,
-        setting=ms,
-        gauge_fixed=not args.independent,
-    )
+    config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=ms,
+                       gauge_fixed=not args.independent)
     result = estimate_chsh(setting, config)
     payload = {
         "estimate": result.estimate.value,
@@ -295,7 +227,7 @@ def _cmd_paths(args):
         raise ValueError("--operators must be a JSON object of named operators {dim, re, im}")
     ops = {name: load_operator(spec) for name, spec in named.items()}
     hamiltonian = load_operator(args.hamiltonian)
-    times = _number_list("--times", args.times)
+    times = _number_list("--times", args.times, kind="time")
     state = bell_state(_angle(args.phi, args.degrees))
     ensembles = path_ensemble(
         state,
@@ -366,22 +298,90 @@ def _cmd_wz(args):
     return ("setting", "estimate", "std_error", "analytic", "n"), rows, payload
 
 
-_DISPATCH = {
-    "transform-curve": _cmd_transform_curve,
-    "correlate": _cmd_correlate,
-    "chsh": _cmd_chsh,
-    "bell-check": _cmd_bell_check,
-    "weak-values": _cmd_weak_values,
-    "paths": _cmd_paths,
-    "wz": _cmd_wz,
+# name: (handler, help, a Monte Carlo run's trials default or None, own options)
+_COMMANDS = {
+    "transform-curve": (_cmd_transform_curve, "frame-transform curve data", None, [
+        ("--delta", {"type": _finite, "required": True}),
+        ("--n", {"type": _int_from(1), "default": 1}),
+        ("--grid-points", {"type": _int_from(2), "default": 2001})]),
+    "correlate": (_cmd_correlate, "Monte Carlo correlation scan", 1_000_000, [
+        ("--delta-grid", {"required": True, "help": "effective parameters, 'start:stop:count' or 'a,b,c'"})]),
+    "chsh": (_cmd_chsh, "CHSH estimate at three relative angles", 10_000_000, [
+        ("--d-omega", {"type": _finite, "required": True}),
+        ("--d-omega-p", {"type": _finite, "required": True}),
+        ("--d-omega-pp", {"type": _finite, "required": True}),
+        ("--independent", {"action": "store_true", "help": "orthodox estimator"}),
+        ("--per-trial-distribution", {"action": "store_true"}),
+        ("--phi", {"type": _finite, "default": 0.0, "help": "state phase"})]),
+    "bell-check": (_cmd_bell_check, "two-angle inequality verdict", None, [
+        ("--d1", {"type": _finite}),
+        ("--d2", {"type": _finite}),
+        ("--grid", {"type": _int_from(0), "default": 0, "help": "emit full violation map"})]),
+    "weak-values": (_cmd_weak_values, "subset averages vs oracle weak values", None, [
+        ("--phi", {"type": _finite, "required": True}),
+        ("--delta-omega", {"type": _finite, "required": True})]),
+    "paths": (_cmd_paths, "post-selection branch probabilities and values", None, [
+        ("--phi", {"type": _finite, "default": 0.0}),
+        ("--omega-a", {"type": _finite, "default": 0.0}),
+        ("--omega-b", {"type": _finite, "required": True}),
+        ("--hamiltonian", {"required": True, "help": "operator JSON file"}),
+        ("--operators", {"required": True, "help": "JSON file of named operators"}),
+        ("--times", {"required": True, "help": "comma-separated times"})]),
+    "wz": (_cmd_wz, "random-modulator experiment", 1_000_000, [
+        ("--d-omega", {"type": _finite, "default": 0.0}),
+        ("--alpha-set", {"required": True, "help": "comma-separated angles"}),
+        ("--beta-set", {"required": True, "help": "comma-separated angles"}),
+        ("--dump-records", {"type": _int_from(0), "default": 0,
+                            "help": "first K trial records of the run"}),
+        ("--phi", {"type": _finite, "default": 0.0, "help": "state phase"})]),
 }
+
+
+def _add_options(parser, name):
+    """Add command `name`'s options to `parser`: output, a Monte Carlo run's, then its own."""
+    _, _, trials, options = _COMMANDS[name]
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--degrees", action="store_true", help="angle inputs are degrees")
+    if trials is not None:
+        parser.add_argument("--trials", type=_int_from(1), default=trials)
+        parser.add_argument("--seed", type=_int_from(0, 2**64), default=0)
+        parser.add_argument("--streams", type=_int_from(1), default=4, help="worker threads only")
+        parser.add_argument("--n", type=_int_from(1), default=1, help="density index")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def build_parser(command=None):
+    """The full parser, or the parser of `command` alone: its subparser's prog and options."""
+    if command is not None:
+        return _add_options(_Parser(prog=f"singlet-lhv {command}"), command)
+    parser = _Parser(prog="singlet-lhv", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
+    return parser
+
+
+def parse(argv):
+    """The options of `argv`; a known command's own parser reads them, as the full parser would.
+
+    Arguments it leaves over, an unknown name and top-level help go to the full parser."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        _emit(args, *_DISPATCH[args.command](args))
+        args = parse(argv)
+        _emit(args, *_COMMANDS[args.command][0](args))
     except SystemExit as exc:  # from parsing: --help, or a usage line already printed
         return int(exc.code or 0)
     except ArithmeticError as exc:

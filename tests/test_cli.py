@@ -113,13 +113,14 @@ PARSED_DEFAULTS = {
 
 def test_every_subcommand_parses_its_options_to_the_pinned_defaults():
     parser = build_parser()
-    assert {argv[0] for argv in PARSED_DEFAULTS} == set(cli._DISPATCH)
+    assert {argv[0] for argv in PARSED_DEFAULTS} == set(cli._COMMANDS)
     for argv, expected in PARSED_DEFAULTS.items():
         assert vars(parser.parse_args(list(argv))) == expected, argv
 
 
 # argv through every way out of parsing: each pinned default, top-level help and
-# errors, a subcommand's parse errors, and each subcommand's help
+# errors, a subcommand's parse errors, arguments left over after a valid parse,
+# and each subcommand's help
 PARSE_CASES = [
     *map(list, PARSED_DEFAULTS),
     [],
@@ -129,7 +130,12 @@ PARSE_CASES = [
     ["bell-check", "--bogus"],
     ["weak-values", "--ph", "0.5", "--delta-om", "1"],
     ["bell-check", "stray"],
-    *([name, "-h"] for name in cli._DISPATCH),
+    ["weak-values", "--phi", "1", "--delta-omega", "1", "stray"],
+    ["bell-check", "--", "1"],
+    ["bell-check", "--d", "1"],
+    ["bell-check", "--bogus", "-h"],
+    ["bell-check", "--d1", "x", "-h"],
+    *([name, "-h"] for name in cli._COMMANDS),
 ]
 
 
@@ -137,20 +143,24 @@ def _argv_id(argv):
     return " ".join(argv) or "<none>"
 
 
-def _parsed(parser, argv, capsys):
+def _parsed(parse, argv, capsys):
     """The parsed options, or the exit code and output of an argv that parsing ends."""
     try:
-        return vars(parser.parse_args(argv))
+        return vars(parse(argv))
     except SystemExit as exc:
         captured = capsys.readouterr()
         return exc.code, captured.out, captured.err
 
 
+def _parse_by_the_full_tree(argv):
+    return build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=_argv_id)
 def test_the_parser_of_the_invoked_subcommand_parses_as_the_full_tree(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    own = _parsed(build_parser(argv[0] if argv else None), argv, capsys)
-    assert own == _parsed(build_parser(), argv, capsys)
+    own = _parsed(cli.parse, argv, capsys)
+    assert own == _parsed(_parse_by_the_full_tree, argv, capsys)
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=_argv_id)
@@ -164,17 +174,27 @@ def test_main_gives_what_it_gives_with_the_full_tree(tmp_path, monkeypatch, caps
         return code, captured.out, captured.err
 
     own = outcome()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "parse", _parse_by_the_full_tree)
     assert own == outcome()
 
 
-@pytest.mark.parametrize("command", sorted(cli._DISPATCH))
-def test_the_parser_of_a_subcommand_gives_options_to_it_alone(command):
+def _fields(action):
+    """What an option is to argparse, with a type= helper compared by the name argparse reports."""
+    return (action.option_strings, action.dest, getattr(action.type, "__name__", None),
+            action.default, action.required, action.choices, action.help, action.nargs,
+            type(action))
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_the_parser_of_a_command_is_its_subparser_of_the_full_tree(command):
     parser = build_parser(command)
-    (subcommands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subcommands) == list(cli._DISPATCH)
-    assert [name for name, sub in subcommands.items() if sub._actions] == [command]
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    assert parser.prog == f"singlet-lhv {command}"
+    (subcommands,) = (a.choices for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subcommands) == list(cli._COMMANDS)
+    assert subcommands[command].prog == parser.prog
+    assert [_fields(a) for a in parser._actions] == [_fields(a) for a in subcommands[command]._actions]
 
 
 @pytest.mark.parametrize("argv", [
@@ -505,7 +525,7 @@ def test_numerical_contract_exit_code(monkeypatch, capsys):
     def broken(args):
         raise AcosDomainError("synthetic branch failure")
 
-    monkeypatch.setitem(cli._DISPATCH, "bell-check", broken)
+    monkeypatch.setitem(cli._COMMANDS, "bell-check", (broken, *cli._COMMANDS["bell-check"][1:]))
     code = main(["bell-check", "--d1", "0", "--d2", "1"])
     assert code == EXIT_NUMERICAL
 
@@ -684,9 +704,11 @@ def test_non_finite_angle_is_usage_error(tmp_path, capsys, command, option, valu
     argv = [command, *base, f"{option}={value}", *(["--degrees"] if degrees else [])]
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.err.startswith("usage error:")
-    assert captured.out == ""
+    assert code == EXIT_USAGE and captured.out == ""
+    # a float option is rejected at parse time, after its usage; a list option after parsing
+    usage, _, message = captured.err.partition("usage error: ")
+    assert usage == "" or usage.startswith(f"usage: singlet-lhv {command} ")
+    assert option in message
 
 
 # an out-of-range value of every int option, shared run options included
@@ -699,8 +721,7 @@ _OUT_OF_RANGE = {
 def _typed_options():
     """(command, option, type) of every option with a type=, read from each command's parser."""
     for command in cli._COMMANDS:
-        (commands,) = [a for a in build_parser(command)._actions if a.dest == "command"]
-        for action in commands.choices[command]._actions:
+        for action in build_parser(command)._actions:
             if action.type is not None:
                 yield command, action.option_strings[0], action.type
 
