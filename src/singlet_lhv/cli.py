@@ -37,7 +37,7 @@ from .harness import (
     scan_correlation,
 )
 from .hidden_values import verify_weak_value_match
-from .model import MeasurementSetting, wrap_angle
+from .model import MAX_N, MeasurementSetting, wrap_angle
 from .quantum import bell_state, load_operator, path_ensemble
 
 EXIT_OK = 0
@@ -47,13 +47,20 @@ EXIT_IO = 3
 
 OUTDIR_ENV = "SINGLET_LHV_OUTDIR"
 
+# Largest --delta-grid count, --grid-points and --grid: each keeps its command's peak RSS
+# below 1 GB in either format (JSON is the larger; 675 MB at --grid-points 10**6).
+MAX_DELTA_GRID = 10_000
+MAX_GRID_POINTS = 10**6
+MAX_BELL_GRID = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # read "-1e-05", "-2.5,1" and "-3:3:25" as values, like "-0.5"; argparse knows only the last
-        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-        self._negative_number_matcher = re.compile(rf"^-{number}([,:]-?{number})*$")
+        # read "-1e-05", "-2.5,1", "-3:3:25" and "-inf" as values, like "-0.5"; argparse knows only
+        # the last, and a non-finite one is then rejected under its option's name
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+        self._negative_number_matcher = re.compile(rf"^-{number}([,:]-?{number})*$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -116,6 +123,8 @@ def _delta_grid(spec, degrees):
         raise ValueError(f"--delta-grid {spec!r} spans no finite interval")
     if count <= 0:
         raise ValueError(f"--delta-grid {spec!r} has no points")
+    if count > MAX_DELTA_GRID:
+        raise ValueError(f"--delta-grid {spec!r} has more than {MAX_DELTA_GRID} points")
     return np.linspace(lo, hi, count).tolist()
 
 
@@ -173,9 +182,8 @@ def _cmd_chsh(args):
         d_omega_pp=_angle(args.d_omega_pp, args.degrees),
     )
     ms = MeasurementSetting(delta_omega=0.0, phi=_angle(args.phi, args.degrees), n=args.n)
-    config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=ms,
-                       gauge_fixed=not args.independent)
-    result = estimate_chsh(setting, config)
+    config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=ms)
+    result = estimate_chsh(setting, config, independent=args.independent)
     payload = {
         "estimate": result.estimate.value,
         "abs_estimate": abs(result.estimate.value),
@@ -257,7 +265,6 @@ def _cmd_wz(args):
     )
     config = RunConfig(trials=args.trials, seed=args.seed, streams=args.streams, setting=setting)
     result = run_weihs_zeilinger(
-        setting.phi,
         _number_list("--alpha-set", args.alpha_set, args.degrees),
         _number_list("--beta-set", args.beta_set, args.degrees),
         config,
@@ -302,8 +309,8 @@ def _cmd_wz(args):
 _COMMANDS = {
     "transform-curve": (_cmd_transform_curve, "frame-transform curve data", None, [
         ("--delta", {"type": _finite, "required": True}),
-        ("--n", {"type": _int_from(1), "default": 1}),
-        ("--grid-points", {"type": _int_from(2), "default": 2001})]),
+        ("--n", {"type": _int_from(1, MAX_N + 1), "default": 1}),
+        ("--grid-points", {"type": _int_from(2, MAX_GRID_POINTS + 1), "default": 2001})]),
     "correlate": (_cmd_correlate, "Monte Carlo correlation scan", 1_000_000, [
         ("--delta-grid", {"required": True, "help": "effective parameters, 'start:stop:count' or 'a,b,c'"})]),
     "chsh": (_cmd_chsh, "CHSH estimate at three relative angles", 10_000_000, [
@@ -316,7 +323,8 @@ _COMMANDS = {
     "bell-check": (_cmd_bell_check, "two-angle inequality verdict", None, [
         ("--d1", {"type": _finite}),
         ("--d2", {"type": _finite}),
-        ("--grid", {"type": _int_from(0), "default": 0, "help": "emit full violation map"})]),
+        ("--grid", {"type": _int_from(0, MAX_BELL_GRID + 1), "default": 0,
+                    "help": "emit full violation map"})]),
     "weak-values": (_cmd_weak_values, "subset averages vs oracle weak values", None, [
         ("--phi", {"type": _finite, "required": True}),
         ("--delta-omega", {"type": _finite, "required": True})]),
@@ -347,7 +355,7 @@ def _add_options(parser, name):
         parser.add_argument("--trials", type=_int_from(1), default=trials)
         parser.add_argument("--seed", type=_int_from(0, 2**64), default=0)
         parser.add_argument("--streams", type=_int_from(1), default=4, help="worker threads only")
-        parser.add_argument("--n", type=_int_from(1), default=1, help="density index")
+        parser.add_argument("--n", type=_int_from(1, MAX_N + 1), default=1, help="density index")
     for flag, kwargs in options:
         parser.add_argument(flag, **kwargs)
     return parser

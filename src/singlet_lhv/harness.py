@@ -65,7 +65,6 @@ class RunConfig:
     setting: MeasurementSetting = field(
         default_factory=lambda: MeasurementSetting(delta_omega=0.0)
     )
-    gauge_fixed: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -310,16 +309,16 @@ class ChshEstimate:
     per_trial_counts: dict[int, int] | None
 
 
-def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
+def estimate_chsh(setting: ChshSetting, config: RunConfig, independent=False) -> ChshEstimate:
     """Monte Carlo CHSH estimate.
 
-    Gauge-fixed mode (default): one hidden orientation per trial is
-    evaluated against the four relative B orientations, forming the
-    per-trial variable s_a * (s1 + s2 + s3 - s4) whose values lie in
-    {0, +-2, +-4}; the fraction outside [-2, 2] is reported along with
-    the exact per-value counts.  Orthodox mode draws independent trials
-    for each of the four correlations and reports their combination.
-    Both measure the settings of ``relative_orientations(phi)`` and report
+    Gauge-fixed (default): one hidden orientation per trial is evaluated
+    against the four relative B orientations, forming the per-trial variable
+    s_a * (s1 + s2 + s3 - s4) whose values lie in {0, +-2, +-4}; the fraction
+    outside [-2, 2] is reported along with the exact per-value counts.
+    ``independent=True`` (``chsh --independent``) is the orthodox estimator:
+    independent trials for each of the four correlations, combined.  Both
+    measure the settings of ``relative_orientations(phi)`` and report
     ``chsh_expectation`` as ``analytic``.
     """
     phi = config.setting.phi
@@ -327,7 +326,7 @@ def estimate_chsh(setting: ChshSetting, config: RunConfig) -> ChshEstimate:
     settings = [MeasurementSetting.from_delta(r, n=n_index) for r in setting.relative_orientations(phi)]
     analytic = float(chsh_expectation(setting, phi, n_index))
 
-    if not config.gauge_fixed:
+    if independent:
         # fresh trials per term: its own range of block indices
         estimates = [
             _tally(sum(_joints(config, [ms], first=k * config.blocks))[0]).estimate()
@@ -418,7 +417,6 @@ def _grid_counts(hist, codes):
 
 
 def run_weihs_zeilinger(
-    base_phi,
     alpha_choices: Sequence[float],
     beta_choices: Sequence[float],
     config: RunConfig,
@@ -427,12 +425,12 @@ def run_weihs_zeilinger(
     """Modulator experiment: random per-trial phase twists.
 
     Each trial independently draws modulator angles alpha and beta
-    uniformly from their choice sets; together they shift the state
-    phase to phi - (alpha + beta), so the trial runs at the effective
-    parameter wrap(d_omega - phi + alpha + beta).  Per-(alpha, beta)
-    tallies are returned together with the CHSH combination over the
-    designated 2x2 sub-grid (the first two sorted angles of each set;
-    sign convention E(a,b) + E(a,b') + E(a',b) - E(a',b')).
+    uniformly from their choice sets; together they shift the state phase
+    phi of ``config.setting`` to phi - (alpha + beta), so the trial runs at
+    the effective parameter wrap(d_omega - phi + alpha + beta), d_omega also
+    from ``config.setting``.  Per-(alpha, beta) tallies are returned with the
+    CHSH combination over the designated 2x2 sub-grid (the first two sorted
+    angles of each set; sign convention E(a,b) + E(a,b') + E(a',b) - E(a',b')).
 
     Choices equal after wrapping count once.  ``keep_records`` (>= 0)
     retains the first that many trial records of the run, in trial order
@@ -446,7 +444,7 @@ def run_weihs_zeilinger(
         raise ValueError(f"keep_records must be >= 0, got {keep_records}")
     n_index = config.setting.n
     # effective parameter per (alpha, beta) pair, pair index i * len(betas) + j
-    offset = config.setting.delta_omega - wrap_angle(base_phi)
+    offset = config.setting.delta_omega - config.setting.phi
     pair_delta = wrap_angle(np.add.outer(offset + np.array(alphas), betas)).ravel()
 
     codes = _cell_codes(pair_delta, n_index, max(1, CELLS // pair_delta.size))

@@ -577,6 +577,16 @@ def test_correlate_empty_grid_is_usage_error(capsys, spec):
     assert "--delta-grid" in captured.err and captured.out == ""
 
 
+def test_correlate_grid_count_is_bounded(capsys):
+    code, out = run_cli(capsys, "correlate", "--delta-grid", "0:1:10000", "--trials", "1",
+                        "--format", "json")
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == 10_000
+    code = main(["correlate", "--delta-grid", "0:1:10001", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "usage error: --delta-grid '0:1:10001' has more than 10000 points\n"
+
+
 @pytest.mark.parametrize(
     "argv, option, text",
     [
@@ -691,30 +701,34 @@ _ANGLE_OPTIONS = {
 
 
 @pytest.mark.parametrize("degrees", [False, True], ids=["radians", "degrees"])
+@pytest.mark.parametrize("joined", [True, False], ids=["joined", "separate"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command, option",
     [(command, option) for command, (_, options) in _ANGLE_OPTIONS.items() for option in options],
 )
-def test_non_finite_angle_is_usage_error(tmp_path, capsys, command, option, value, degrees):
+def test_non_finite_angle_is_usage_error(tmp_path, capsys, command, option, value, joined,
+                                         degrees):
+    # "--opt -inf" as two tokens: the value must not be taken for an option
     ham, ops = tmp_path / "h.json", tmp_path / "ops.json"
     ham.write_text(json.dumps(_PAULI_Z_SPEC))
     ops.write_text(json.dumps({"sz": _PAULI_Z_SPEC}))
     base = [arg.format(h=ham, ops=ops) for arg in _ANGLE_OPTIONS[command][0]]
-    argv = [command, *base, f"{option}={value}", *(["--degrees"] if degrees else [])]
+    given = [f"{option}={value}"] if joined else [option, value]
+    argv = [command, *base, *given, *(["--degrees"] if degrees else [])]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     # a float option is rejected at parse time, after its usage; a list option after parsing
     usage, _, message = captured.err.partition("usage error: ")
     assert usage == "" or usage.startswith(f"usage: singlet-lhv {command} ")
-    assert option in message
+    assert option in message and "finite" in message
 
 
 # an out-of-range value of every int option, shared run options included
 _OUT_OF_RANGE = {
-    "--n": ["0"], "--grid-points": ["1"], "--grid": ["-1"], "--dump-records": ["-1"],
-    "--trials": ["0"], "--streams": ["0"], "--seed": ["-1", str(2**64)],
+    "--n": ["0", str(2**30 + 1)], "--grid-points": ["1", str(10**6 + 1)], "--grid": ["-1", "1001"],
+    "--dump-records": ["-1"], "--trials": ["0"], "--streams": ["0"], "--seed": ["-1", str(2**64)],
 }
 
 

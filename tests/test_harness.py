@@ -173,15 +173,15 @@ def test_both_chsh_estimators_report_the_same_analytic(phi, n):
     setting = ChshSetting(1.1, -0.4, 2.9)
     ms = MeasurementSetting(delta_omega=0.0, phi=phi, n=n)
     gauge, orthodox = (
-        estimate_chsh(setting, RunConfig(trials=300, seed=2, setting=ms, gauge_fixed=g))
-        for g in (True, False)
+        estimate_chsh(setting, RunConfig(trials=300, seed=2, setting=ms), independent=i)
+        for i in (False, True)
     )
     assert gauge.analytic == orthodox.analytic == float(chsh_expectation(setting, ms.phi, n))
 
 
 def test_chsh_orthodox_estimator():
-    cfg = config(0.0, trials=200_000, seed=29, gauge_fixed=False)
-    result = estimate_chsh(OPTIMAL_CHSH_SETTING, cfg)
+    cfg = config(0.0, trials=200_000, seed=29)
+    result = estimate_chsh(OPTIMAL_CHSH_SETTING, cfg, independent=True)
     assert result.out_of_range_fraction is None
     assert result.per_trial_counts is None
     assert abs(result.estimate.value) == pytest.approx(
@@ -202,7 +202,7 @@ def test_chsh_deterministic():
 def test_wz_single_choice_reduces_to_plain_correlation():
     delta = 1.0
     cfg = config(delta, trials=100_000, seed=37)
-    wz = run_weihs_zeilinger(0.0, [0.0], [0.0], cfg)
+    wz = run_weihs_zeilinger([0.0], [0.0], cfg)
     only = wz.pair_correlations()[(0.0, 0.0)]
     assert abs(only.value - correlation(delta)) <= 4 * only.std_error
     assert only.n == 100_000
@@ -210,7 +210,7 @@ def test_wz_single_choice_reduces_to_plain_correlation():
 
 def test_wz_choice_frequencies_uniform():
     cfg = config(0.0, trials=80_000, seed=41)
-    wz = run_weihs_zeilinger(0.0, [0.0, math.pi / 2], [math.pi / 4, -math.pi / 4], cfg)
+    wz = run_weihs_zeilinger([0.0, math.pi / 2], [math.pi / 4, -math.pi / 4], cfg)
     for tally in wz.pair_tallies.values():
         p = tally.n / 80_000
         assert abs(p - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / 80_000)
@@ -225,7 +225,7 @@ def test_wz_effective_parameter_per_pair():
         streams=4,
         setting=MeasurementSetting(delta_omega=d_omega, phi=phi),
     )
-    wz = run_weihs_zeilinger(phi, [0.5], [-0.2], cfg)
+    wz = run_weihs_zeilinger([0.5], [-0.2], cfg)
     est = wz.pair_correlations()[(0.5, -0.2)]
     want = correlation(d_omega - phi + 0.5 - 0.2)
     assert abs(est.value - want) <= 4 * est.std_error
@@ -233,7 +233,7 @@ def test_wz_effective_parameter_per_pair():
 
 def test_wz_optimal_modulators_reach_quantum_bound():
     cfg = config(0.0, trials=400_000, seed=47)
-    wz = run_weihs_zeilinger(0.0, [0.0, math.pi / 2], [math.pi / 4, -math.pi / 4], cfg)
+    wz = run_weihs_zeilinger([0.0, math.pi / 2], [math.pi / 4, -math.pi / 4], cfg)
     assert abs(wz.chsh.value) == pytest.approx(2 * math.sqrt(2), abs=4 * wz.chsh.std_error)
     assert wz.chsh_pairs == ((0.0, -math.pi / 4), (0.0, math.pi / 4),
                              (math.pi / 2, -math.pi / 4), (math.pi / 2, math.pi / 4))
@@ -259,13 +259,13 @@ def test_large_index_correlations_approach_linear_model():
 
 def test_wz_records_and_empty_sets():
     cfg = config(0.0, trials=1000, seed=51)
-    wz = run_weihs_zeilinger(0.0, [0.1], [0.2], cfg, keep_records=5)
+    wz = run_weihs_zeilinger([0.1], [0.2], cfg, keep_records=5)
     assert len(wz.records) == 5
     for rec in wz.records:
         assert (rec.alpha, rec.beta) == (0.1, 0.2)
         assert rec.s_a in (-1, 1) and rec.s_b in (-1, 1)
     with pytest.raises(ValueError):
-        run_weihs_zeilinger(0.0, [], [0.2], cfg)
+        run_weihs_zeilinger([], [0.2], cfg)
 
 
 def test_wz_records_consistent_with_measure_pair():
@@ -278,7 +278,7 @@ def test_wz_records_consistent_with_measure_pair():
         streams=2,
         setting=MeasurementSetting(delta_omega=d_omega, phi=phi),
     )
-    wz = run_weihs_zeilinger(phi, [0.2, 1.0], [-0.4, 0.6], cfg, keep_records=40)
+    wz = run_weihs_zeilinger([0.2, 1.0], [-0.4, 0.6], cfg, keep_records=40)
     assert wz.records
     for rec in wz.records:
         effective = wrap_angle(d_omega - phi + rec.alpha + rec.beta)
@@ -350,7 +350,7 @@ def test_records_are_the_first_trials_across_block_boundaries(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        records = run_weihs_zeilinger(0.0, alphas, betas, cfg, keep_records=15_000).records
+        records = run_weihs_zeilinger(alphas, betas, cfg, keep_records=15_000).records
     finally:
         sys.setswitchinterval(interval)
     want = []
@@ -372,6 +372,6 @@ def test_orthodox_chsh_draws_each_term_from_its_own_blocks(monkeypatch):
         return block_generator(seed, block)
 
     monkeypatch.setattr(harness, "block_generator", recording)
-    cfg = config(0.0, trials=10_000, seed=71, streams=2, gauge_fixed=False)
-    estimate_chsh(OPTIMAL_CHSH_SETTING, cfg)
+    cfg = config(0.0, trials=10_000, seed=71, streams=2)
+    estimate_chsh(OPTIMAL_CHSH_SETTING, cfg, independent=True)
     assert sorted(keys) == [(71, b) for b in range(4 * cfg.blocks)]

@@ -247,7 +247,7 @@ def test_sorted_joint_counts_equal_the_pass_over_every_trial(n):
 def run_all(n):
     setting = MeasurementSetting(delta_omega=0.9, phi=0.2, n=n)
     config = RunConfig(trials=70_001, seed=21, streams=2, setting=setting)
-    wz = run_weihs_zeilinger(0.2, [0.0, 1.3, -2.0], [0.4, -0.4], config, keep_records=5_000)
+    wz = run_weihs_zeilinger([0.0, 1.3, -2.0], [0.4, -0.4], config, keep_records=5_000)
     return (
         stream_tallies(config),
         estimate_chsh(OPTIMAL_CHSH_SETTING, config).per_trial_counts,
@@ -318,7 +318,7 @@ def test_spot_check_stops_a_wrong_kernel(monkeypatch):
     with pytest.raises(ArithmeticError, match="kernel disagrees"):
         estimate_chsh(OPTIMAL_CHSH_SETTING, config)
     with pytest.raises(ArithmeticError, match="kernel disagrees"):
-        run_weihs_zeilinger(0.0, [0.0, 1.0], [0.5, -0.5], config)
+        run_weihs_zeilinger([0.0, 1.0], [0.5, -0.5], config)
 
 
 def reference_draws(config, n_pairs=0):
@@ -356,7 +356,7 @@ def test_tallies_match_the_public_path_on_the_same_draws(monkeypatch, n):
     assert estimate_chsh(OPTIMAL_CHSH_SETTING, config).per_trial_counts == expected
 
     alphas, betas = [-1.0, 0.3], [0.2, 1.1, 2.9]
-    wz = run_weihs_zeilinger(setting.phi, alphas, betas, config)
+    wz = run_weihs_zeilinger(alphas, betas, config)
     pair, omega = reference_draws(config, len(alphas) * len(betas))
     for (a, b), tally in wz.pair_tallies.items():
         mask = pair == alphas.index(a) * len(betas) + betas.index(b)

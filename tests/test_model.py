@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from singlet_lhv.analytic import correlation
 from singlet_lhv.model import (
+    MAX_N,
     AcosDomainError,
     HiddenConfig,
     MeasurementSetting,
@@ -396,6 +398,24 @@ def test_transform_n_rejects_bad_index():
         circle_transform_n(0.1, 0.2, 1.5)
 
 
+# every entry point that takes a density index, at n
+_TAKES_N = {
+    "MeasurementSetting": lambda n: MeasurementSetting(delta_omega=0.3, n=n).n,
+    "circle_transform_n": lambda n: circle_transform_n(0.1, 0.2, n),
+    "sample_orientations": lambda n: sample_orientations(rng(1), 5, n),
+    "correlation": lambda n: correlation(0.3, n),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAKES_N))
+def test_density_index_range_ends_at_max_n(name):
+    assert MAX_N == 2**30
+    assert np.all(np.isfinite(_TAKES_N[name](MAX_N)))
+    for n in (MAX_N + 1, 2**63):
+        with pytest.raises(ValueError, match=rf"in \[1, {MAX_N}\], got {n}$"):
+            _TAKES_N[name](n)
+
+
 def test_transform_n_closer_to_linear_than_base():
     w = np.linspace(-np.pi, np.pi, 10001, endpoint=False)
     lin = linear_reference(w, math.pi / 3)
@@ -557,7 +577,7 @@ def test_sampler_cosine_mean_is_centered():
     assert abs(mean) < 4 * math.sqrt(0.5 / 1_000_000)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 1000, 2**20, 2**30, 2**31])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 1000, 2**20, 2**30])
 def test_sampler_folds_its_draws_like_the_mod_form(n):
     # the same draws rebuilt unfolded, sign * acos(u) / n + cell pi / n, then wrapped the reference way
     g = rng(50 + n)
