@@ -2,10 +2,10 @@
 
 A run is identified by (seed, trials).  Its trials fall into fixed blocks
 of BLOCK: block b holds trials [b BLOCK, (b + 1) BLOCK) and draws them
-from its own counter-based Philox generator keyed by sha256(seed:b)
-(``block_generator``, the only seeding rule), through the public
-``sample_orientations``, the only draw path.  Inside a block every command
-tallies joint-outcome histograms of exact integer counts: ``correlate`` and
+from its own SFC64 generator, seeded through numpy's ``SeedSequence`` by
+sha256(seed:b) (``block_generator``, the only seeding rule), through the
+public ``sample_orientations``, the only draw path.  Inside a block every
+command tallies joint-outcome histograms of exact integer counts: ``correlate`` and
 ``chsh`` from one sort (``_joint_counts``), ``wz`` by modulator pair and
 orientation cell (``_grid_histogram``), where a cell away from every cut
 has one outcome.  Every estimate comes from one moment rule
@@ -13,7 +13,8 @@ has one outcome.  Every estimate comes from one moment rule
 count changes a result, and memory stays O(BLOCK x streams) whatever the
 trial count.
 Uniform doubles use the 53-bit construction, so the uniform stream is the
-same on every platform.
+same on every platform under one numpy version; NEP 19 lets a ``Generator``
+method's stream change between numpy releases.
 
 ``streams`` only sets the number of worker threads (numpy releases the
 GIL): stream i takes the i-th contiguous range of block indices, and the
@@ -98,11 +99,17 @@ class EstimateWithError:
 
 
 def block_generator(seed, block) -> np.random.Generator:
-    """Philox generator of trial block ``block``, keyed by sha256(seed:block)."""
+    """SFC64 generator of trial block ``block``, seeded by sha256(seed:block).
+
+    The digest's first 16 bytes, read as a little-endian integer, are the
+    ``SeedSequence`` entropy.  Each block has its own generator and no state
+    passes between blocks, so a block's draws depend on (seed, block) only.
+    """
     import hashlib  # here, not at the top: commands without Monte Carlo never load it
 
     digest = hashlib.sha256(f"{int(seed)}:{int(block)}".encode("ascii")).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+    key = int.from_bytes(digest[:16], "little")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 def _map_streams(worker, assignments):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -28,7 +29,7 @@ from singlet_lhv.harness import (
     scan_correlation,
     tally_outcomes,
 )
-from singlet_lhv.model import MeasurementSetting, sample_orientations
+from singlet_lhv.model import MAX_N, MeasurementSetting, sample_orientations
 
 
 def config(delta, trials=100_000, seed=0, streams=4, n=1, **kw):
@@ -297,6 +298,36 @@ def test_block_generators_are_distinct_and_reproducible():
     assert np.array_equal(block_generator(seed, 0).random(8), draws[0])
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert not np.any(draws[i] == draws[j])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_block_generator_is_sfc64_seeded_by_sha256_of_seed_and_block(seed):
+    for block in (0, 1, 12_345):
+        rng = block_generator(seed, block)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        digest = hashlib.sha256(f"{seed}:{block}".encode("ascii")).digest()
+        key = int.from_bytes(digest[:16], "little")
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+        assert rng.random(5).tobytes() == want.random(5).tobytes()
+        np.testing.assert_array_equal(rng.integers(0, 28, 9, dtype=np.uint32),
+                                      want.integers(0, 28, 9, dtype=np.uint32))
+
+
+def _sfc64_state(rng):
+    state = rng.bit_generator.state
+    return state["state"]["state"].tolist(), state["has_uint32"], state["uinteger"]
+
+
+@pytest.mark.parametrize("n", [1, 7, MAX_N])
+def test_uint32_draws_equal_int64_draws_under_sfc64(n):
+    # sample_orientations draws k in [0, 4n) as uint32 on the promise that this is the int64 draw
+    plain, narrow = block_generator(8, 0), block_generator(8, 0)
+    for size in (7, 30_001, 250_000, 1):
+        k = narrow.integers(0, 4 * n, size=size, dtype=np.uint32)
+        np.testing.assert_array_equal(k, plain.integers(0, 4 * n, size=size))
+        # the generator's buffered 32-bit half carries over into the next draws alike
+        assert _sfc64_state(plain) == _sfc64_state(narrow)
+        assert plain.random(3).tobytes() == narrow.random(3).tobytes()
 
 BLOCK_RUNS = {
     "correlate": ("correlate", "--delta-grid=-3:3:5", "--n", "3", "--trials", "30001", "--seed", "61"),
